@@ -1,12 +1,12 @@
-//! Online-scheduler perf trajectory: warm-start incremental re-packing
-//! swept from 1k to 100k queued jobs.
+//! Online-scheduler perf trajectory: incremental re-packing swept from 1k
+//! to 100k queued jobs.
 //!
 //! For each scale the bench replays a seeded arrival/finish/cancel
 //! stream (`lorafusion-data`'s event generator, `target_live` = the
 //! scale) through [`OnlineScheduler`], timing every `apply` call, and
 //! emits `results/BENCH_scheduler.json` with per-event p50/p99/mean
 //! latency, sustained packings/sec, the repair-ladder counter deltas
-//! (`scheduler.repack.*`, `solver.bb.warm_start_prunes`) and a quality
+//! (`scheduler.repack.*`) and a quality
 //! comparison against the cold best-fit-decreasing re-solve of the
 //! final live set.
 //!
@@ -16,8 +16,8 @@
 //! * **determinism** — each stream is replayed twice and the packing
 //!   digests must match bit for bit;
 //! * **quality** — the final online bin count must stay within the
-//!   documented ε of the cold re-solve (25% + 1 bin, the configured
-//!   drift threshold; see DESIGN.md "Online scheduling");
+//!   documented ε of the cold re-solve (25% + 1 bin; see DESIGN.md
+//!   "Online scheduling");
 //! * **incremental speedup** — at scales ≥ 10k queued jobs, the mean
 //!   per-event incremental cost must beat a cold re-solve of the live
 //!   set by ≥ 10× (the ISSUE's headline claim; in practice it is
@@ -56,9 +56,7 @@ struct Row {
     cold_resolve_ms: f64,
     speedup_vs_cold: f64,
     local_repairs: u64,
-    warm_solves: u64,
     cold_solves: u64,
-    warm_start_prunes: u64,
     digest: String,
 }
 lorafusion_bench::impl_to_json!(Row {
@@ -79,27 +77,21 @@ lorafusion_bench::impl_to_json!(Row {
     cold_resolve_ms,
     speedup_vs_cold,
     local_repairs,
-    warm_solves,
     cold_solves,
-    warm_start_prunes,
     digest,
 });
 
-/// Ladder-rung and solver counters sampled around a replay.
+/// Ladder-rung counters sampled around a replay.
 #[derive(Clone, Copy)]
 struct CounterSnapshot {
     local_repairs: u64,
-    warm_solves: u64,
     cold_solves: u64,
-    warm_start_prunes: u64,
 }
 
 fn snapshot_counters() -> CounterSnapshot {
     CounterSnapshot {
         local_repairs: metrics::counter("scheduler.repack.local_repair").get(),
-        warm_solves: metrics::counter("scheduler.repack.warm_solves").get(),
         cold_solves: metrics::counter("scheduler.repack.cold_solves").get(),
-        warm_start_prunes: metrics::counter("solver.bb.warm_start_prunes").get(),
     }
 }
 
@@ -237,9 +229,7 @@ fn main() {
             cold_resolve_ms: cold_seconds * 1e3,
             speedup_vs_cold: speedup,
             local_repairs: after.local_repairs - before.local_repairs,
-            warm_solves: after.warm_solves - before.warm_solves,
             cold_solves: after.cold_solves - before.cold_solves,
-            warm_start_prunes: after.warm_start_prunes - before.warm_start_prunes,
             digest: format!("{digest:016x}"),
         });
     }
@@ -270,7 +260,7 @@ fn main() {
                 fmt(r.p99_event_ns / 1e3, 2),
                 fmt(r.packings_per_sec / 1e3, 1),
                 fmt(r.speedup_vs_cold, 0),
-                r.warm_solves.to_string(),
+                r.local_repairs.to_string(),
                 r.cold_solves.to_string(),
             ]
         })
@@ -286,7 +276,7 @@ fn main() {
             "p99 us",
             "kpack/s",
             "vs cold",
-            "warm",
+            "local",
             "cold",
         ],
         &table,

@@ -434,22 +434,22 @@ fn neighborhood_smallest_bin(
     Some(result)
 }
 
-pub(crate) enum Objective {
+enum Objective {
     MinBins,
     MinSmallestBin,
 }
 
-pub(crate) struct Model {
-    pub(crate) problem: Problem,
+struct Model {
+    problem: Problem,
     /// x[s][b]: sample s in bin b.
-    pub(crate) x: Vec<Vec<VarId>>,
+    x: Vec<Vec<VarId>>,
     /// k[a][b]: padded multiples of adapter a in bin b.
-    pub(crate) k: Vec<Vec<VarId>>,
+    k: Vec<Vec<VarId>>,
     /// z[b]: bin b used (stage 1 only; empty for stage 2).
-    pub(crate) z: Vec<VarId>,
+    z: Vec<VarId>,
 }
 
-pub(crate) fn build_model(
+fn build_model(
     entries: &[MicrobatchEntry],
     adapters: &[usize],
     num_b: usize,
@@ -546,7 +546,7 @@ pub(crate) fn build_model(
 }
 
 /// Builds a warm-start vector from a bin assignment.
-pub(crate) fn warm_start_from(
+fn warm_start_from(
     bins: &[Microbatch],
     entries: &[MicrobatchEntry],
     adapters: &[usize],
@@ -661,7 +661,7 @@ fn sol1_to_warm(
 
 /// Extracts bins from a stage-2 solution. Returns `None` when rounding
 /// produced an inconsistent assignment.
-pub(crate) fn extract_bins(
+fn extract_bins(
     values: &[f64],
     model: &Model,
     entries: &[MicrobatchEntry],
@@ -845,11 +845,16 @@ mod tests {
 
     #[test]
     fn oversized_models_fall_back_to_greedy() {
-        // 300 samples would exceed MAX_MILP_VARS.
+        // 300 samples would exceed MAX_MILP_VARS, so the full model is
+        // skipped and the result is never proven optimal. Whether the
+        // neighborhood matheuristic improves on greedy within the
+        // wall-clock timeout depends on the host, so only its bin count
+        // is checked.
         let entries: Vec<_> = (0..300).map(|i| entry((i % 4) as usize, i, 200)).collect();
         let outcome =
             two_stage_milp_packing(&entries, 1024, 64, Duration::from_millis(50)).unwrap();
-        assert!(!outcome.used_milp);
+        assert!(!outcome.milp_optimal);
+        assert!(outcome.microbatches.len() <= greedy_packing(&entries, 1024, 64).len());
         let total: usize = outcome.microbatches.iter().map(|m| m.entries.len()).sum();
         assert_eq!(total, 300);
     }

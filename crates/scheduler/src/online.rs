@@ -1,9 +1,9 @@
-//! Streaming scheduler with warm-start incremental re-packing (ISSUE 7).
+//! Streaming scheduler with incremental re-packing.
 //!
 //! The offline pipeline re-solves every packing from scratch; an online
 //! service facing continuous arrivals and departures needs the incumbent
 //! packing to *survive* each event. [`OnlineScheduler`] maintains bins
-//! under [`JobEvent`] streams with a three-rung escalation ladder:
+//! under [`JobEvent`] streams with a two-rung escalation ladder:
 //!
 //! 1. **Local repair** — place an arriving job by best-fit over the
 //!    bubble-lemma cost (the padded-load delta from [`AdapterLoads`]),
@@ -13,30 +13,19 @@
 //!    bin and re-place them. Everything here is `O(log bins)` index
 //!    lookups plus bounded scans — the per-event cost the bench proves
 //!    sub-linear.
-//! 2. **Warm-started exact repair** — when the incumbent drifts above
-//!    the configured threshold over the bin lower bound, re-optimize the
-//!    smallest few bins with the branch-and-bound MILP, seeded with the
-//!    incumbent assignment as the initial upper bound so the tree prunes
-//!    immediately. The solve runs on a persistent
-//!    [`lorafusion_solver::MilpScratch`], so a warmed re-solve allocates
-//!    nothing per node; its budget is the *deterministic* `max_nodes`
-//!    cap (the wall-clock timeout is set far beyond reach), keeping
-//!    replay bitwise-identical on any machine and thread count.
-//! 3. **Cold re-pack** — past twice the drift threshold (and at most
-//!    once per `cold_interval_min` events), rebuild the whole packing
-//!    with best-fit-decreasing over a headroom index, `O(n log n)`.
+//! 2. **Cold re-pack** — when the incumbent drifts past the configured
+//!    threshold over the bin lower bound (and at most once per
+//!    `cold_interval_min` events), rebuild the whole packing with
+//!    best-fit-decreasing over a headroom index, `O(n log n)`.
 //!
-//! Rung hits are counted in `scheduler.repack.{local_repair,warm_solves,
-//! cold_solves}`; warm-start-enabled prunes inside the solver show up in
-//! `solver.bb.warm_start_prunes`.
+//! Rung hits are counted in `scheduler.repack.{local_repair,cold_solves}`.
+//! Every step is a pure function of the event stream, so replay is
+//! bitwise-identical on any machine and thread count.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
 
 use lorafusion_data::{JobEvent, Sample};
-use lorafusion_solver::{solve_milp_scratch, MilpOptions, MilpScratch, Status};
 
-use crate::binpack::{build_model, extract_bins, warm_start_from, Objective};
 use crate::types::{AdapterLoads, Microbatch, MicrobatchEntry, SchedulerError};
 
 /// One live job in the online packing.
@@ -59,21 +48,9 @@ pub struct OnlineConfig {
     pub padding_multiple: usize,
     /// Local repair may evict at most this many jobs per arrival.
     pub max_evictions: usize,
-    /// Warm-started exact repair re-optimizes this many smallest bins.
-    pub warm_bins: usize,
-    /// Skip the exact repair when the neighborhood holds more jobs than
-    /// this (the model would only burn its node budget).
-    pub warm_max_entries: usize,
-    /// Deterministic node budget for a warm solve; the wall-clock
-    /// timeout is set far beyond reach so this cap is what binds,
-    /// keeping replay bitwise-identical.
-    pub warm_max_nodes: usize,
-    /// Escalate when `(bins - lower_bound) / lower_bound` exceeds this
-    /// (warm repair above it, cold re-pack above twice it).
+    /// Re-pack cold when `(bins - lower_bound) / lower_bound` exceeds
+    /// this.
     pub drift_threshold: f64,
-    /// Minimum events between warm exact repairs, so a drift the solver
-    /// cannot fix does not re-trigger a MILP on every event.
-    pub warm_interval_min: usize,
     /// Minimum events between cold re-packs.
     pub cold_interval_min: usize,
 }
@@ -84,11 +61,7 @@ impl Default for OnlineConfig {
             capacity: 16384,
             padding_multiple: 64,
             max_evictions: 4,
-            warm_bins: 3,
-            warm_max_entries: 24,
-            warm_max_nodes: 512,
-            drift_threshold: 0.25,
-            warm_interval_min: 8,
+            drift_threshold: 0.5,
             cold_interval_min: 64,
         }
     }
@@ -125,10 +98,6 @@ pub struct OnlineScheduler {
     adapter_totals: AdapterLoads,
     /// Events applied since the last cold re-pack.
     events_since_cold: usize,
-    /// Events applied since the last warm exact repair.
-    events_since_warm: usize,
-    /// Reusable solver scratch for warm repairs.
-    scratch: MilpScratch,
     /// Reusable eviction buffer.
     evicted: Vec<Job>,
 }
@@ -140,7 +109,6 @@ const ADAPTER_LABEL_CAP: usize = 64;
 
 struct Counters {
     local_repair: lorafusion_trace::metrics::Counter,
-    warm_solves: lorafusion_trace::metrics::Counter,
     cold_solves: lorafusion_trace::metrics::Counter,
     /// `scheduler.events{class=…}`: one counter per event class.
     arrive: lorafusion_trace::metrics::Counter,
@@ -155,14 +123,7 @@ struct Counters {
     /// `scheduler.repair.moved_jobs{rung=…}`: how many jobs each repair
     /// rung touched per invocation.
     moved_local: lorafusion_trace::metrics::Histogram,
-    moved_warm: lorafusion_trace::metrics::Histogram,
     moved_cold: lorafusion_trace::metrics::Histogram,
-    /// `solver.bb.warm_start_prunes{rung=warm}`: prunes attributable to
-    /// the scheduler's warm rung (delta of the solver's global counter
-    /// around each warm solve).
-    warm_rung_prunes: lorafusion_trace::metrics::Counter,
-    /// Handle on the solver's unlabeled prune total, for the delta.
-    solver_prunes_total: lorafusion_trace::metrics::Counter,
     /// `scheduler.placements{adapter=…}`: dynamic labels, interned on
     /// first observation per adapter and cached here so steady-state
     /// placements stay allocation-free.
@@ -194,7 +155,6 @@ fn counters() -> &'static Counters {
         let rung = |v: &str| Scope::new(&[("rung", v)]);
         Counters {
             local_repair: lorafusion_trace::metrics::counter("scheduler.repack.local_repair"),
-            warm_solves: lorafusion_trace::metrics::counter("scheduler.repack.warm_solves"),
             cold_solves: lorafusion_trace::metrics::counter("scheduler.repack.cold_solves"),
             arrive: class("arrive").counter("scheduler.events"),
             finish: class("finish").counter("scheduler.events"),
@@ -202,10 +162,7 @@ fn counters() -> &'static Counters {
             arrive_padded: class("arrive").quantile_histogram("scheduler.event.padded_tokens"),
             depart_padded: class("depart").quantile_histogram("scheduler.event.padded_tokens"),
             moved_local: rung("local").quantile_histogram("scheduler.repair.moved_jobs"),
-            moved_warm: rung("warm").quantile_histogram("scheduler.repair.moved_jobs"),
             moved_cold: rung("cold").quantile_histogram("scheduler.repair.moved_jobs"),
-            warm_rung_prunes: rung("warm").counter("solver.bb.warm_start_prunes"),
-            solver_prunes_total: lorafusion_trace::metrics::counter("solver.bb.warm_start_prunes"),
             placements: std::sync::Mutex::new(BTreeMap::new()),
         }
     })
@@ -236,8 +193,6 @@ impl OnlineScheduler {
             job_bin: BTreeMap::new(),
             adapter_totals: AdapterLoads::new(1),
             events_since_cold: 0,
-            events_since_warm: 0,
-            scratch: MilpScratch::new(),
             evicted: Vec::new(),
         })
     }
@@ -334,7 +289,6 @@ impl OnlineScheduler {
             }
         }
         self.events_since_cold += 1;
-        self.events_since_warm += 1;
         self.settle();
         Ok(())
     }
@@ -517,7 +471,7 @@ impl OnlineScheduler {
         job
     }
 
-    /// Drift check and escalation (rungs 2 and 3).
+    /// Drift check and escalation to the cold rung.
     fn settle(&mut self) {
         let lb = self.lower_bound_bins();
         let used = self.num_bins();
@@ -525,150 +479,14 @@ impl OnlineScheduler {
             return;
         }
         let drift = (used - lb) as f64 / lb as f64;
-        if drift <= self.config.drift_threshold {
-            return;
-        }
-        if drift > 2.0 * self.config.drift_threshold
+        if drift > self.config.drift_threshold
             && self.events_since_cold >= self.config.cold_interval_min
         {
             self.cold_repack();
-        } else if self.events_since_warm >= self.config.warm_interval_min {
-            self.warm_repair();
         }
     }
 
-    /// Rung 2: re-optimize the smallest `warm_bins` bins exactly,
-    /// warm-started from the incumbent assignment.
-    fn warm_repair(&mut self) {
-        let want = self.config.warm_bins.max(2);
-        // Smallest bins by padded load: the front of the headroom index
-        // is the *fullest* bin, so walk from the back.
-        let chosen: Vec<usize> = self
-            .by_headroom
-            .iter()
-            .rev()
-            .take(want)
-            .map(|&(_, slot)| slot)
-            .collect();
-        if chosen.len() < 2 {
-            return;
-        }
-        let mut entries: Vec<MicrobatchEntry> = Vec::new();
-        let mut incumbent: Vec<Microbatch> = Vec::new();
-        for &slot in &chosen {
-            let bin = self.bins[slot].as_ref().expect("live bin");
-            let mb: Vec<MicrobatchEntry> = bin.jobs.iter().map(|j| job_entry(*j)).collect();
-            entries.extend(mb.iter().copied());
-            incumbent.push(Microbatch {
-                entries: mb,
-                noop: false,
-            });
-        }
-        if entries.len() > self.config.warm_max_entries {
-            return;
-        }
-        // Necessary condition for an improvement: the chosen bins'
-        // combined load must fit into one fewer bin. Skipping hopeless
-        // solves keeps the warm rung off the per-event critical path.
-        let combined: usize = chosen
-            .iter()
-            .map(|&slot| {
-                self.bins[slot]
-                    .as_ref()
-                    .expect("live bin")
-                    .loads
-                    .padded_total()
-            })
-            .sum();
-        if combined > (chosen.len() - 1) * self.config.capacity {
-            return;
-        }
-        let c = counters();
-        c.warm_solves.incr();
-        self.events_since_warm = 0;
-        // Warm-rung prune attribution: the solver counts every
-        // warm-start prune globally; the delta around this solve is what
-        // this rung's incumbent bought us.
-        let prunes_before = c.solver_prunes_total.get();
-
-        let mut adapters: Vec<usize> = entries.iter().map(|e| e.adapter).collect();
-        adapters.sort_unstable();
-        adapters.dedup();
-        let num_b = chosen.len();
-        let model = build_model(
-            &entries,
-            &adapters,
-            num_b,
-            self.config.capacity,
-            self.config.padding_multiple,
-            Objective::MinBins,
-        );
-        let warm = warm_start_from(
-            &incumbent,
-            &entries,
-            &adapters,
-            num_b,
-            self.config.capacity,
-            self.config.padding_multiple,
-            true,
-        );
-        let options = MilpOptions {
-            // The node cap is the budget; the timeout exists only as a
-            // pathological backstop and must never bind (determinism).
-            timeout: Duration::from_secs(3600),
-            max_nodes: self.config.warm_max_nodes,
-            warm_start: Some(warm),
-            // The objective (used bins) is integral, so a solution only
-            // counts if it saves a whole bin; with the incumbent seeded
-            // as the upper bound this prunes every node whose LP bound
-            // cannot reach `bins - 1`, which is what makes warm solves
-            // cheap enough for the per-event path.
-            absolute_gap: 0.999,
-        };
-        let sol = solve_milp_scratch(&model.problem, &options, &mut self.scratch);
-        c.warm_rung_prunes
-            .add(c.solver_prunes_total.get() - prunes_before);
-        let Ok(sol) = sol else {
-            return;
-        };
-        if !matches!(sol.status, Status::Optimal | Status::TimedOut) || sol.values.is_empty() {
-            return;
-        }
-        let used_bins: f64 = model.z.iter().map(|z| sol.values[z.0].round()).sum();
-        if used_bins as usize >= num_b {
-            return; // No improvement over the incumbent.
-        }
-        let Some(repacked) = extract_bins(&sol.values, &model, &entries, num_b) else {
-            return;
-        };
-        // Apply: pull every chosen job out, then insert the repacked bins.
-        for &slot in &chosen {
-            let ids: Vec<u64> = self.bins[slot]
-                .as_ref()
-                .expect("live bin")
-                .jobs
-                .iter()
-                .map(|j| j.id)
-                .collect();
-            for id in ids {
-                self.remove_job(id, slot);
-            }
-        }
-        for mb in repacked {
-            let mut jobs = mb.entries.iter().map(|e| entry_job(*e));
-            if let Some(first) = jobs.next() {
-                self.open_bin(first);
-                let slot = self.job_bin[&first.id];
-                for job in jobs {
-                    self.insert_job(job, slot);
-                }
-            }
-        }
-        c.moved_warm.record(entries.len() as u64);
-        lorafusion_trace::flight::note("scheduler.repair.warm", entries.len() as u64);
-    }
-
-    /// Rung 3: full best-fit-decreasing re-pack of every live job over a
+    /// Rung 2: full best-fit-decreasing re-pack of every live job over a
     /// fresh headroom index (`O(n log n)`).
     fn cold_repack(&mut self) {
         let c = counters();
@@ -808,14 +626,6 @@ fn job_entry(j: Job) -> MicrobatchEntry {
             id: j.id,
             len: j.len,
         },
-    }
-}
-
-fn entry_job(e: MicrobatchEntry) -> Job {
-    Job {
-        id: e.sample.id,
-        adapter: e.adapter,
-        len: e.sample.len,
     }
 }
 
@@ -1017,13 +827,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_repair_reduces_fragmentation() {
-        // Force fragmentation, then check the drift ladder pulls the bin
-        // count back toward the lower bound.
+    fn cold_repack_fires_past_the_drift_threshold() {
+        // Force fragmentation, then check the drift check re-packs the
+        // live jobs down to the lower bound.
         let mut s = OnlineScheduler::new(OnlineConfig {
             capacity: 1000,
             padding_multiple: 1,
-            cold_interval_min: 10_000, // keep the cold rung out of the way
+            cold_interval_min: 1,
             ..OnlineConfig::default()
         })
         .unwrap();
@@ -1032,21 +842,20 @@ mod tests {
             s.apply(&arrive(i, 0, 500)).unwrap();
         }
         assert_eq!(s.num_bins(), 6);
-        // Finish one job of each pair: 6 bins at half load, LB = 3.
-        let warm_before = counters().warm_solves.get();
+        // Finish one job of each pair. Drift stays at or under 0.5 until
+        // the last finish leaves 6 half-full bins for LB = 3.
+        let cold_before = counters().cold_solves.get();
         for i in [0u64, 2, 4, 6, 8] {
             s.apply(&JobEvent::Finish { id: i }).unwrap();
         }
+        assert_eq!(s.num_bins(), 6, "re-packed below the threshold");
+        s.apply(&JobEvent::Finish { id: 10 }).unwrap();
         assert!(
-            counters().warm_solves.get() > warm_before,
-            "drift never triggered a warm solve"
+            counters().cold_solves.get() > cold_before,
+            "drift never triggered a cold re-pack"
         );
-        assert!(
-            s.num_bins() <= 5,
-            "warm repair left {} bins for LB {}",
-            s.num_bins(),
-            s.lower_bound_bins()
-        );
+        assert_eq!(s.num_bins(), s.lower_bound_bins());
+        assert_eq!(s.num_bins(), 3);
         s.validate().unwrap();
     }
 

@@ -12,6 +12,9 @@ use crate::model::{Problem, Solution, SolverError, Status};
 use crate::simplex::{solve_lp_scratch, LpScratch};
 
 const INT_TOL: f64 = 1e-6;
+/// A node prunes once its LP bound cannot beat the incumbent by more than
+/// this (absolute objective units).
+const GAP_TOL: f64 = 1e-6;
 
 /// Options controlling a MILP solve.
 #[derive(Debug, Clone)]
@@ -21,16 +24,11 @@ pub struct MilpOptions {
     /// the scheduler level).
     pub timeout: Duration,
     /// Hard cap on explored nodes (second safety valve). Unlike the
-    /// wall-clock timeout this limit is deterministic, so callers that
-    /// need replayable results (the online scheduler) set a generous
-    /// timeout and rely on `max_nodes` as the binding budget.
+    /// wall-clock timeout this limit is deterministic.
     pub max_nodes: usize,
     /// Optional warm-start assignment; if feasible it seeds the incumbent,
     /// letting the tree prune immediately.
     pub warm_start: Option<Vec<f64>>,
-    /// Stop as soon as an incumbent is at least this close to the LP
-    /// bound (absolute gap); `0.0` demands proven optimality.
-    pub absolute_gap: f64,
 }
 
 impl Default for MilpOptions {
@@ -39,7 +37,6 @@ impl Default for MilpOptions {
             timeout: Duration::from_secs(10),
             max_nodes: 200_000,
             warm_start: None,
-            absolute_gap: 1e-6,
         }
     }
 }
@@ -47,11 +44,11 @@ impl Default for MilpOptions {
 /// One branch-and-bound node: a single bound tightening on top of the
 /// parent's bounds. The full node bounds are reconstructed by walking the
 /// parent chain, so pushing a node costs one fixed-size struct instead of
-/// a cloned bounds vector (or, as before, a cloned [`Problem`]).
+/// a cloned bounds vector.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Index of the parent node in [`MilpScratch::nodes`];
-    /// `usize::MAX` for the root.
+    /// Index of the parent node in the node arena; `usize::MAX` for the
+    /// root.
     parent: usize,
     /// Variable whose bound this node tightens (`usize::MAX` at the root).
     var: usize,
@@ -63,60 +60,18 @@ struct Node {
     lp_bound: f64,
 }
 
-/// Reusable working storage for [`solve_milp_scratch`].
-///
-/// Holds the LP scratch (flat tableau), the node arena, the DFS stack,
-/// the per-node bound vectors and the incumbent buffer. Once warmed on a
-/// problem, repeat solves perform a small constant number of heap
-/// allocations (the returned [`Solution::values`] vector) regardless of
-/// how many nodes the tree explores — `solver/tests/zero_alloc.rs`
-/// enforces this with a counting global allocator.
-#[derive(Debug, Default)]
-pub struct MilpScratch {
-    lp: LpScratch,
-    /// Node arena; nodes reference parents by index.
-    nodes: Vec<Node>,
-    /// DFS stack of node indices.
-    stack: Vec<usize>,
-    /// Effective bounds of the node being expanded.
-    lowers: Vec<f64>,
-    uppers: Vec<f64>,
-    /// Best integer-feasible assignment found so far.
-    incumbent: Vec<f64>,
-    /// Candidate assignment being integrality-checked.
-    candidate: Vec<f64>,
-}
-
-impl MilpScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Solves a mixed-integer linear program by branch-and-bound, allocating
-/// fresh scratch storage.
+/// Solves a mixed-integer linear program by branch-and-bound.
 ///
 /// Returns the best integer-feasible solution found. `status` is
-/// [`Status::Optimal`] when the tree was exhausted (or the gap target met),
-/// [`Status::TimedOut`] when a feasible incumbent exists but the deadline or
-/// node cap expired first, and [`Status::Infeasible`] when no feasible
-/// point was found.
-pub fn solve_milp(problem: &Problem, options: &MilpOptions) -> Result<Solution, SolverError> {
-    let mut scratch = MilpScratch::new();
-    solve_milp_scratch(problem, options, &mut scratch)
-}
-
-/// Solves a MILP reusing caller-owned scratch storage across solves.
+/// [`Status::Optimal`] when the tree was exhausted, [`Status::TimedOut`]
+/// when a feasible incumbent exists but the deadline or node cap expired
+/// first, and [`Status::Infeasible`] when no feasible point was found.
 ///
-/// Identical results to [`solve_milp`]; repeated solves on a warmed
-/// scratch do not reallocate the tableau or node storage, which is what
-/// makes per-event warm-started re-solves cheap in the online scheduler.
-pub fn solve_milp_scratch(
-    problem: &Problem,
-    options: &MilpOptions,
-    scratch: &mut MilpScratch,
-) -> Result<Solution, SolverError> {
+/// The LP tableau and per-node bound vectors are sized once per solve and
+/// reused at every node; only the node arena and DFS stack grow, by
+/// doubling, so no heap allocation happens per node
+/// (`solver/tests/zero_alloc.rs` pins this with a counting allocator).
+pub fn solve_milp(problem: &Problem, options: &MilpOptions) -> Result<Solution, SolverError> {
     let _span = lorafusion_trace::span!(
         "solver.milp",
         vars = problem.num_vars(),
@@ -126,42 +81,33 @@ pub fn solve_milp_scratch(
     let deadline = Instant::now() + options.timeout;
     let n = problem.num_vars();
 
-    let MilpScratch {
-        lp,
-        nodes,
-        stack,
-        lowers,
-        uppers,
-        incumbent,
-        candidate,
-    } = scratch;
+    let mut lp = LpScratch::new();
     lp.reserve_for(problem);
 
-    // Incumbent state. `incumbent_from_warm` distinguishes prunes earned
-    // by the caller-provided warm start from prunes against incumbents the
-    // tree found itself (the `solver.bb.warm_start_prunes` counter).
+    // Incumbent state.
+    let mut incumbent: Vec<f64> = Vec::with_capacity(n);
+    let mut candidate: Vec<f64> = Vec::with_capacity(n);
     let mut incumbent_obj = f64::INFINITY;
     let mut have_incumbent = false;
-    let mut incumbent_from_warm = false;
-    incumbent.clear();
     if let Some(ws) = &options.warm_start {
         if problem.is_feasible(ws, 1e-6) {
             incumbent.extend_from_slice(ws);
             incumbent_obj = problem.objective_value(ws);
             have_incumbent = true;
-            incumbent_from_warm = true;
         }
     }
+    // Node attribution goes by how the solve *started*.
+    let started_warm = have_incumbent;
 
     // Root relaxation.
-    let root = solve_lp_scratch(problem, None, lp)?;
+    let root = solve_lp_scratch(problem, None, &mut lp)?;
     match root.status {
         Status::Infeasible => {
             return Ok(if have_incumbent {
                 Solution {
                     status: Status::TimedOut,
                     objective: incumbent_obj,
-                    values: incumbent.clone(),
+                    values: incumbent,
                 }
             } else {
                 Solution {
@@ -184,23 +130,24 @@ pub fn solve_milp_scratch(
         _ => {}
     }
 
-    let (nodes_counter, warm_prunes_counter, warm_nodes_counter, cold_nodes_counter) = {
+    let (nodes_counter, warm_nodes_counter, cold_nodes_counter) = {
         use std::sync::OnceLock;
         type C = lorafusion_trace::metrics::Counter;
-        static CELLS: OnceLock<(C, C, C, C)> = OnceLock::new();
+        static CELLS: OnceLock<(C, C, C)> = OnceLock::new();
         *CELLS.get_or_init(|| {
             let start = |v| lorafusion_trace::label::Scope::new(&[("start", v)]);
             (
                 lorafusion_trace::metrics::counter("solver.bb.nodes"),
-                lorafusion_trace::metrics::counter("solver.bb.warm_start_prunes"),
                 start("warm").counter("solver.bb.nodes"),
                 start("cold").counter("solver.bb.nodes"),
             )
         })
     };
 
-    nodes.clear();
-    stack.clear();
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
+    let mut lowers: Vec<f64> = Vec::with_capacity(n);
+    let mut uppers: Vec<f64> = Vec::with_capacity(n);
     nodes.push(Node {
         parent: usize::MAX,
         var: usize::MAX,
@@ -209,9 +156,6 @@ pub fn solve_milp_scratch(
         lp_bound: root.objective,
     });
     stack.push(0);
-    // `incumbent_from_warm` flips once a better cold incumbent is found;
-    // the per-start node attribution goes by how the solve *started*.
-    let started_warm = incumbent_from_warm;
     let mut explored = 0usize;
     let mut timed_out = false;
 
@@ -224,10 +168,7 @@ pub fn solve_milp_scratch(
         nodes_counter.incr();
 
         // Prune by the bound inherited from the parent relaxation.
-        if have_incumbent && nodes[node_idx].lp_bound >= incumbent_obj - options.absolute_gap {
-            if incumbent_from_warm {
-                warm_prunes_counter.incr();
-            }
+        if have_incumbent && nodes[node_idx].lp_bound >= incumbent_obj - GAP_TOL {
             continue;
         }
 
@@ -252,14 +193,11 @@ pub fn solve_milp_scratch(
             continue;
         }
 
-        let relax = solve_lp_scratch(problem, Some((lowers, uppers)), lp)?;
+        let relax = solve_lp_scratch(problem, Some((&lowers, &uppers)), &mut lp)?;
         if relax.status != Status::Optimal {
             continue;
         }
-        if have_incumbent && relax.objective >= incumbent_obj - options.absolute_gap {
-            if incumbent_from_warm {
-                warm_prunes_counter.incr();
-            }
+        if have_incumbent && relax.objective >= incumbent_obj - GAP_TOL {
             continue;
         }
 
@@ -287,14 +225,13 @@ pub fn solve_milp_scratch(
                         candidate[j] = candidate[j].round();
                     }
                 }
-                let objective = problem.objective_value(candidate);
+                let objective = problem.objective_value(&candidate);
                 let better = !have_incumbent || objective < incumbent_obj;
-                if better && problem.is_feasible(candidate, 1e-5) {
+                if better && problem.is_feasible(&candidate, 1e-5) {
                     incumbent.clear();
-                    incumbent.extend_from_slice(candidate);
+                    incumbent.extend_from_slice(&candidate);
                     incumbent_obj = objective;
                     have_incumbent = true;
-                    incumbent_from_warm = false;
                 }
             }
             Some((j, x)) => {
@@ -345,7 +282,7 @@ pub fn solve_milp_scratch(
                 Status::Optimal
             },
             objective: incumbent_obj,
-            values: incumbent.clone(),
+            values: incumbent,
         }
     } else if timed_out {
         Solution {
@@ -493,52 +430,5 @@ mod tests {
         let sol = solve_milp(&p, &MilpOptions::default()).unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert!((sol.objective - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_solves() {
-        // The same scratch reused across different problems must give the
-        // same answers as fresh solves.
-        let mut scratch = MilpScratch::new();
-
-        let mut p1 = Problem::new();
-        let a = p1.add_bin_var(-10.0);
-        let b = p1.add_bin_var(-13.0);
-        let c = p1.add_bin_var(-7.0);
-        p1.add_constraint(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Sense::Le, 6.0);
-
-        let mut p2 = Problem::new();
-        let x = p2.add_int_var(-1.0, 0.0, 10.0);
-        p2.add_constraint(vec![(x, 2.0)], Sense::Le, 3.0);
-
-        for _ in 0..3 {
-            let s1 = solve_milp_scratch(&p1, &MilpOptions::default(), &mut scratch).unwrap();
-            assert_eq!(s1.status, Status::Optimal);
-            assert!((s1.objective + 20.0).abs() < 1e-6);
-            let s2 = solve_milp_scratch(&p2, &MilpOptions::default(), &mut scratch).unwrap();
-            assert_eq!(s2.status, Status::Optimal);
-            assert_eq!(s2.values[0].round() as i64, 1);
-        }
-    }
-
-    #[test]
-    fn warm_start_prunes_are_counted() {
-        // Seeding the optimum as a warm start must let the tree prune
-        // against it (counter strictly increases).
-        let before = lorafusion_trace::metrics::counter("solver.bb.warm_start_prunes").get();
-        let mut p = Problem::new();
-        let a = p.add_bin_var(-10.0);
-        let b = p.add_bin_var(-13.0);
-        let c = p.add_bin_var(-7.0);
-        p.add_constraint(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Sense::Le, 6.0);
-        let options = MilpOptions {
-            warm_start: Some(vec![0.0, 1.0, 1.0]),
-            ..MilpOptions::default()
-        };
-        let sol = solve_milp(&p, &options).unwrap();
-        assert_eq!(sol.status, Status::Optimal);
-        assert!((sol.objective + 20.0).abs() < 1e-6);
-        let after = lorafusion_trace::metrics::counter("solver.bb.warm_start_prunes").get();
-        assert!(after > before, "warm-start prunes not counted");
     }
 }

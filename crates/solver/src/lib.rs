@@ -23,6 +23,6 @@ pub mod branch_bound;
 pub mod model;
 pub mod simplex;
 
-pub use branch_bound::{solve_milp, solve_milp_scratch, MilpOptions, MilpScratch};
+pub use branch_bound::{solve_milp, MilpOptions};
 pub use model::{Constraint, Problem, Sense, Solution, SolverError, Status, VarId};
-pub use simplex::{solve_lp, solve_lp_scratch, LpOutcome, LpScratch};
+pub use simplex::solve_lp;

@@ -26,7 +26,7 @@ const FEAS_TOL: f64 = 1e-7;
 /// solves of that problem (at any node-bound override), which is the
 /// contract `solver/tests/zero_alloc.rs` enforces.
 #[derive(Debug, Default)]
-pub struct LpScratch {
+pub(crate) struct LpScratch {
     /// Constraint rows over structural variables, flat `m x n`.
     row_coefs: Vec<f64>,
     row_sense: Vec<Sense>,
@@ -46,7 +46,7 @@ pub struct LpScratch {
 /// Status and objective of one scratch solve; the variable assignment
 /// stays in [`LpScratch::values`] to avoid a per-solve allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LpOutcome {
+pub(crate) struct LpOutcome {
     /// [`Status::Optimal`], [`Status::Infeasible`] or [`Status::Unbounded`].
     pub status: Status,
     /// Objective at the returned point (meaningless otherwise).
@@ -126,7 +126,7 @@ pub fn solve_lp(problem: &Problem) -> Result<Solution, SolverError> {
 /// (branch-and-bound node bounds) without mutating or cloning the
 /// problem; `None` uses the problem's own bounds. An override with an
 /// empty domain (`lower > upper`) reports [`Status::Infeasible`].
-pub fn solve_lp_scratch(
+pub(crate) fn solve_lp_scratch(
     problem: &Problem,
     bounds: Option<(&[f64], &[f64])>,
     scratch: &mut LpScratch,

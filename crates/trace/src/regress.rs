@@ -380,7 +380,7 @@ mod tests {
         assert_eq!(classify("packings_per_sec"), MetricClass::LowerWorse);
         assert_eq!(classify("speedup_vs_cold"), MetricClass::LowerWorse);
         assert_eq!(classify("online_bins"), MetricClass::Exact);
-        assert_eq!(classify("warm_start_prunes"), MetricClass::Exact);
+        assert_eq!(classify("cold_solves"), MetricClass::Exact);
         assert_eq!(classify("simd_path"), MetricClass::Skip);
     }
 }

@@ -272,7 +272,7 @@ pub struct TraceStats {
     /// Distinct counter-track names.
     pub counter_tracks: usize,
     /// The counter-track names themselves, so gates can require a
-    /// *specific* counter (e.g. `scheduler.repack.warm_solves`) made it
+    /// *specific* counter (e.g. `scheduler.repack.cold_solves`) made it
     /// into the export, not just "some counters".
     pub counter_names: BTreeSet<String>,
     pub pids: BTreeSet<u64>,

@@ -155,8 +155,7 @@ fi
 # event-stream replay is digest-identical run to run and that the final
 # packing stays within the documented ε of a cold re-solve. The 512-event
 # invocation keeps it fast; tracing is armed so the emitted trace can be
-# checked for the repair-ladder counter tracks (scheduler.repack.* and
-# the solver's warm-start prunes) by name.
+# checked for the repair-ladder counter tracks (scheduler.repack.*) by name.
 step "bench_scheduler determinism + quality gate (512 events)"
 if [[ "$QUICK" -eq 0 ]]; then
   LORAFUSION_TRACE="$TRACE_TMP/sched_trace.json" BENCH_SCHED_JOBS=128 BENCH_SCHED_EVENTS=512 \
@@ -164,9 +163,7 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo run --release -q -p lorafusion-bench --bin trace_validate -- \
     "$TRACE_TMP/sched_trace.json" \
     --require-counter scheduler.repack.local_repair \
-    --require-counter scheduler.repack.warm_solves \
     --require-counter scheduler.repack.cold_solves \
-    --require-counter solver.bb.warm_start_prunes \
     --require-histogram 'scheduler.event.padded_tokens{class=arrive}'
 else
   LORAFUSION_TRACE="$TRACE_TMP/sched_trace.json" BENCH_SCHED_JOBS=128 BENCH_SCHED_EVENTS=512 \
@@ -174,9 +171,7 @@ else
   cargo run -q -p lorafusion-bench --bin trace_validate -- \
     "$TRACE_TMP/sched_trace.json" \
     --require-counter scheduler.repack.local_repair \
-    --require-counter scheduler.repack.warm_solves \
     --require-counter scheduler.repack.cold_solves \
-    --require-counter solver.bb.warm_start_prunes \
     --require-histogram 'scheduler.event.padded_tokens{class=arrive}'
 fi
 
