@@ -49,7 +49,9 @@ pub struct OnlineConfig {
     /// Local repair may evict at most this many jobs per arrival.
     pub max_evictions: usize,
     /// Re-pack cold when `(bins - lower_bound) / lower_bound` exceeds
-    /// this.
+    /// this. The threshold triggers the cold re-pack itself, not an
+    /// intermediate rung at a fraction of it: the former default of 0.25,
+    /// which re-packed cold past twice its value, corresponds to 0.5 here.
     pub drift_threshold: f64,
     /// Minimum events between cold re-packs.
     pub cold_interval_min: usize,

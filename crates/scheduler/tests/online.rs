@@ -3,10 +3,13 @@
 //! drift on adversarial streams, and a full event replay is
 //! bitwise-identical at every `LORAFUSION_THREADS`.
 //!
-//! Quality ε: the online bin count must stay within 25% of the cold
-//! best-fit-decreasing re-solve, plus one bin of slack for mid-repair
-//! states. The max-bin bubble cost is bounded by capacity on both sides,
-//! so bin count is the comparable quality axis.
+//! Quality ε on randomized streams: the online bin count must stay within
+//! 25% of the cold best-fit-decreasing re-solve, plus one bin of slack for
+//! mid-repair states. On adversarial streams of bursts and mass
+//! cancellations only `1 + drift_threshold` (plus one bin) is enforced;
+//! the 25% bound does not hold there at the default threshold. The
+//! max-bin bubble cost is bounded by capacity on both sides, so bin count
+//! is the comparable quality axis.
 
 use std::collections::BTreeMap;
 

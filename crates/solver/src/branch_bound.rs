@@ -1,7 +1,7 @@
 //! Depth-first branch-and-bound MILP solver.
 
 // lint: allow(wall-clock-in-core) — the deadline is a hard-stop guard
-// against pathological MILPs, not a result input: `max_nodes` is the
+// against pathological MILPs, not a result input: `MAX_NODES` is the
 // deterministic bound, and any truncation (by either limit) surfaces as
 // `Status::TimedOut` so callers can tell a timed-out solve from an
 // optimal one.
@@ -15,6 +15,9 @@ const INT_TOL: f64 = 1e-6;
 /// A node prunes once its LP bound cannot beat the incumbent by more than
 /// this (absolute objective units).
 const GAP_TOL: f64 = 1e-6;
+/// Hard cap on explored nodes, a second safety valve next to the
+/// timeout. Unlike the wall-clock timeout this limit is deterministic.
+const MAX_NODES: usize = 200_000;
 
 /// Options controlling a MILP solve.
 #[derive(Debug, Clone)]
@@ -23,9 +26,6 @@ pub struct MilpOptions {
     /// [`Status::TimedOut`] (Algorithm 1's greedy fallback then kicks in at
     /// the scheduler level).
     pub timeout: Duration,
-    /// Hard cap on explored nodes (second safety valve). Unlike the
-    /// wall-clock timeout this limit is deterministic.
-    pub max_nodes: usize,
     /// Optional warm-start assignment; if feasible it seeds the incumbent,
     /// letting the tree prune immediately.
     pub warm_start: Option<Vec<f64>>,
@@ -35,7 +35,6 @@ impl Default for MilpOptions {
     fn default() -> Self {
         Self {
             timeout: Duration::from_secs(10),
-            max_nodes: 200_000,
             warm_start: None,
         }
     }
@@ -160,7 +159,7 @@ pub fn solve_milp(problem: &Problem, options: &MilpOptions) -> Result<Solution, 
     let mut timed_out = false;
 
     while let Some(node_idx) = stack.pop() {
-        if Instant::now() >= deadline || explored >= options.max_nodes {
+        if Instant::now() >= deadline || explored >= MAX_NODES {
             timed_out = true;
             break;
         }
@@ -369,7 +368,6 @@ mod tests {
         let options = MilpOptions {
             timeout: Duration::from_millis(0),
             warm_start: Some(vec![1.0, 0.0]),
-            ..MilpOptions::default()
         };
         let sol = solve_milp(&p, &options).unwrap();
         assert_eq!(sol.status, Status::TimedOut);

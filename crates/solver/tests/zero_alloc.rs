@@ -4,9 +4,10 @@
 //! lives in a flat buffer sized once per solve, nodes go into an arena
 //! that records one bound tightening each, and per-node bound vectors are
 //! rebuilt in place by walking the parent chain. This test installs a
-//! counting global allocator and compares a node-capped solve with a full
-//! one: the full solve explores several times as many nodes, yet may only
-//! pay the few extra allocations of the arena's amortized growth.
+//! counting global allocator and compares the solves of a small and a
+//! larger problem of the same form: the larger one explores several times
+//! as many nodes, yet may only pay the few extra allocations of the
+//! arena's amortized growth.
 //!
 //! It lives in its own test binary so the global allocator cannot count
 //! unrelated tests running on sibling threads.
@@ -14,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lorafusion_solver::{solve_milp, MilpOptions, Problem, Sense, Status};
+use lorafusion_solver::{solve_milp, MilpOptions, Problem, Sense, Solution, Status};
 
 struct CountingAlloc;
 
@@ -57,13 +58,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A bin-packing MILP hard enough to force real tree search: 9 items
-/// into up to 4 bins of capacity 17, minimizing used bins, with no
-/// symmetry breaking so branch-and-bound explores many equivalent
-/// assignments (~80 nodes to prove optimality).
-fn branching_heavy_problem() -> Problem {
-    let items = [9.0f64, 8.0, 7.0, 6.0, 5.0, 5.0, 4.0, 4.0, 3.0];
-    let bins = 4usize;
+/// A bin-packing MILP: `items` into up to `bins` bins of capacity 17,
+/// minimizing used bins, with no symmetry breaking so branch-and-bound
+/// explores equivalent assignments.
+fn bin_packing_problem(items: &[f64], bins: usize) -> Problem {
     let cap = 17.0;
     let mut p = Problem::new();
     let x: Vec<Vec<_>> = items
@@ -86,15 +84,15 @@ fn branching_heavy_problem() -> Problem {
     p
 }
 
-/// Allocations and explored nodes of one solve.
-fn measure(p: &Problem, options: &MilpOptions) -> (u64, u64, Status) {
+/// Allocations, explored nodes and the solution of one solve.
+fn measure(p: &Problem) -> (u64, u64, Solution) {
     let nodes_counter = lorafusion_trace::metrics::counter("solver.bb.nodes");
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     let nodes_before = nodes_counter.get();
-    let sol = solve_milp(p, options).unwrap();
+    let sol = solve_milp(p, &MilpOptions::default()).unwrap();
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
     let nodes = nodes_counter.get() - nodes_before;
-    (allocs, nodes, sol.status)
+    (allocs, nodes, sol)
 }
 
 #[test]
@@ -104,22 +102,21 @@ fn milp_solve_allocations_do_not_grow_per_node() {
     lorafusion_trace::disable();
     assert!(!lorafusion_trace::enabled());
 
-    let p = branching_heavy_problem();
+    // Total weight 24 into 2 bins: a handful of nodes.
+    let light = bin_packing_problem(&[9.0, 8.0, 7.0], 2);
+    // Total weight 51 into 4 bins: 3 are necessary and sufficient, and
+    // proving it takes ~80 nodes.
+    let heavy = bin_packing_problem(&[9.0, 8.0, 7.0, 6.0, 5.0, 5.0, 4.0, 4.0, 3.0], 4);
     // Warm up: the first solve pays the one-time trace counter
     // registration.
-    let first = solve_milp(&p, &MilpOptions::default()).unwrap();
-    assert_eq!(first.status, Status::Optimal);
-    // Total weight 51, capacity 17: 3 bins necessary and sufficient.
-    assert_eq!(first.objective.round() as i64, 3);
+    solve_milp(&heavy, &MilpOptions::default()).unwrap();
 
-    let capped = MilpOptions {
-        max_nodes: 8,
-        ..MilpOptions::default()
-    };
-    let (few_allocs, few_nodes, few_status) = measure(&p, &capped);
-    let (allocs, nodes, status) = measure(&p, &MilpOptions::default());
-    assert_eq!(few_status, Status::TimedOut);
-    assert_eq!(status, Status::Optimal);
+    let (few_allocs, few_nodes, few_sol) = measure(&light);
+    let (allocs, nodes, sol) = measure(&heavy);
+    assert_eq!(few_sol.status, Status::Optimal);
+    assert_eq!(few_sol.objective.round() as i64, 2);
+    assert_eq!(sol.status, Status::Optimal);
+    assert_eq!(sol.objective.round() as i64, 3);
     assert!(
         nodes >= 50 && nodes >= 6 * few_nodes,
         "problem too easy to exercise per-node reuse: {nodes} vs {few_nodes} nodes"
