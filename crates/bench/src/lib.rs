@@ -12,12 +12,10 @@ use std::path::PathBuf;
 use lorafusion_data::{Dataset, DatasetPreset};
 use lorafusion_sched::AdapterJob;
 
-pub mod harness;
 pub mod host;
 pub mod json;
 pub mod report;
 
-pub use harness::{Bench, CaseResult};
 pub use json::{Json, ToJson};
 
 /// The five workload columns of Figs. 14/15: four homogeneous settings and

@@ -13,13 +13,13 @@
 //!
 //! This module enumerates the valid orderings, computes their *exact*
 //! analytic GEMM FLOP counts per shape, picks the minimum
-//! ([`plan`]), and lowers the chosen ordering through the same
-//! prologue/epilogue hook engine the fused executor uses
-//! ([`PlannedWorkspace`]) — dropout stays fused into a pack, scales stay
-//! folded into tile stores, and each ordering is bitwise-equal to its own
-//! multi-pass spelling (asserted by the tests below, together with
-//! closeness to [`crate::reference`] and exact agreement of the default
-//! plan with [`crate::fused::Workspace`]).
+//! ([`plan`]), and executes the chosen ordering through the GEMM engine's
+//! prologue/epilogue hooks ([`PlannedWorkspace`], the crate's one
+//! single-adapter fused executor) — dropout stays fused into a pack,
+//! scales stay folded into tile stores, and each ordering is bitwise-equal
+//! to its own multi-pass spelling (asserted by the tests below, together
+//! with closeness to [`crate::reference`] and, for the default plan, a
+//! forward bitwise-equal to it).
 //!
 //! # The enumeration
 //!
@@ -56,7 +56,7 @@ use lorafusion_tensor::matmul::{gemm_fused, Epilogue, Layout, Prologue};
 use lorafusion_tensor::{DropoutSpec, Matrix};
 
 use crate::lora::{LoraLayer, Shape};
-use crate::Result;
+use crate::{KernelError, Result};
 
 /// Contraction order of the forward adapter term `alpha * ((X̂ A) B)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,10 +242,15 @@ pub fn plan(shape: Shape) -> ContractionPlan {
         .expect("enumeration is non-empty")
 }
 
-/// Reusable buffers for executing an arbitrary [`ContractionPlan`]
-/// through the fused prologue/epilogue hook engine — the planner's
-/// counterpart of [`crate::fused::Workspace`], with the same
-/// zero-temporary steady state. Buffers a plan does not need stay empty.
+/// The single-adapter fused LoRA executor: reusable buffers for running
+/// any [`ContractionPlan`] through the GEMM engine's prologue/epilogue
+/// hooks. [`ContractionPlan::DEFAULT`] is FusedLoRA's K1..K5 step
+/// (Fig. 10, lowered in [`crate::fused`]).
+///
+/// Buffers are `resize`d in place and those a plan does not need stay
+/// empty, so after one warm-up step at a shape further steps perform no
+/// heap allocation (`crates/kernels/tests/zero_alloc.rs` checks every
+/// plan).
 #[derive(Debug, Clone)]
 pub struct PlannedWorkspace {
     plan: ContractionPlan,
@@ -273,9 +278,25 @@ pub struct PlannedWorkspace {
 
 impl PlannedWorkspace {
     /// Creates a workspace that executes `plan`; buffers grow on first
-    /// use. Panics if the plan is invalid (not from [`enumerate`]).
-    pub fn new(plan: ContractionPlan) -> Self {
-        assert!(plan.is_valid(), "invalid contraction plan {plan:?}");
+    /// use. A plan outside [`enumerate`] is rejected with
+    /// [`KernelError::InvalidParameter`].
+    pub fn new(plan: ContractionPlan) -> Result<Self> {
+        if !plan.is_valid() {
+            return Err(KernelError::InvalidParameter {
+                name: "plan",
+                reason: "DbOrder::ViaS needs the S that only FwdOrder::LowRankFirst materializes",
+            });
+        }
+        Ok(Self::with_plan(plan))
+    }
+
+    /// Workspace executing the FLOP-minimal plan for `shape`.
+    pub fn for_shape(shape: Shape) -> Self {
+        // `plan` picks from `enumerate`, which holds valid plans only.
+        Self::with_plan(plan(shape))
+    }
+
+    fn with_plan(plan: ContractionPlan) -> Self {
         Self {
             plan,
             y: Matrix::zeros(0, 0),
@@ -289,11 +310,6 @@ impl PlannedWorkspace {
             db: Matrix::zeros(0, 0),
             spec: DropoutSpec::new(0.0, 0),
         }
-    }
-
-    /// Workspace executing the FLOP-minimal plan for `shape`.
-    pub fn for_shape(shape: Shape) -> Self {
-        Self::new(plan(shape))
     }
 
     /// The plan this workspace executes.
@@ -315,8 +331,7 @@ impl PlannedWorkspace {
         )
     }
 
-    /// Forward step under the plan's [`FwdOrder`]. Like
-    /// [`crate::fused::Workspace::forward_into`], `X̂` is always emitted
+    /// Forward step under the plan's [`FwdOrder`]. `X̂` is always emitted
     /// from the pack that first streams `X`, so the backward contract is
     /// plan-independent.
     pub fn forward_into(
@@ -522,7 +537,6 @@ mod tests {
     use lorafusion_tensor::ops::{add, all_close, hadamard, scale};
     use lorafusion_tensor::{dropout_mask, Pcg32};
 
-    use crate::fused;
     use crate::lora::LoraConfig;
     use crate::reference;
     use crate::traffic::TrafficModel;
@@ -733,7 +747,7 @@ mod tests {
         x: &Matrix,
         dy: &Matrix,
         spec: DropoutSpec,
-    ) -> (Matrix, Matrix, Matrix, Matrix) {
+    ) -> (Matrix, Matrix, Matrix, Matrix, Matrix) {
         let alpha = layer.adapter.config.alpha;
         let (m, k) = x.shape();
         let n = layer.n();
@@ -767,7 +781,7 @@ mod tests {
             DbOrder::ViaS => scale(alpha, &matmul_tn(&s, dy).unwrap()),
             DbOrder::ViaGram => product(Layout::Tn, alpha, &layer.adapter.a, &g, r, n),
         };
-        (y, dx, da, db)
+        (s, y, dx, da, db)
     }
 
     /// Every plan must (a) be bitwise-equal to its own multi-pass
@@ -789,7 +803,7 @@ mod tests {
         let ref_bwd = reference::backward(&layer, &ref_fwd.saved, &dy, &t).unwrap();
 
         for p in enumerate() {
-            let mut ws = PlannedWorkspace::new(p);
+            let mut ws = PlannedWorkspace::new(p).unwrap();
             // Two rounds: the second exercises buffer reuse.
             for _ in 0..2 {
                 ws.forward_into(&layer, &x, 2).unwrap();
@@ -799,7 +813,10 @@ mod tests {
             // X̂ is plan-independent (counter-based mask).
             assert!(bitwise(&ws.x_hat, &ref_fwd.saved.x_hat), "{tag} x_hat");
 
-            let (y, dx, da, db) = multipass(p, &layer, &x, &dy, spec);
+            let (s, y, dx, da, db) = multipass(p, &layer, &x, &dy, spec);
+            if p.fwd == FwdOrder::LowRankFirst {
+                assert!(bitwise(&ws.s, &s), "{tag} s vs multipass");
+            }
             assert!(bitwise(&ws.y, &y), "{tag} y vs multipass");
             assert!(bitwise(&ws.dx, &dx), "{tag} dx vs multipass");
             assert!(bitwise(&ws.da, &da), "{tag} da vs multipass");
@@ -818,42 +835,50 @@ mod tests {
         }
     }
 
-    /// The canonical plan's lowering is *identical* to the fused
-    /// executor's K1..K5 — same GEMMs, same hooks, same order — so the
-    /// two must agree bit for bit.
+    /// The default plan's epilogues evaluate the reference's per-element
+    /// expressions exactly, so its forward is bit-identical to the
+    /// unfused reference, not just close. The backward `dS` association
+    /// differs (`alpha` folds into the store rather than pre-scaling
+    /// `dY`), so gradients agree to rounding.
     #[test]
-    fn default_plan_is_bitwise_equal_to_fused_workspace() {
-        let mut rng = Pcg32::seeded(62);
-        let cfg = LoraConfig {
-            dropout: 0.3,
-            ..LoraConfig::with_rank(8)
+    fn default_plan_matches_reference() {
+        let mut rng = Pcg32::seeded(30);
+        let layer = LoraLayer::init_nonzero(32, 28, LoraConfig::with_rank(4), &mut rng);
+        let x = Matrix::random_uniform(20, 32, 1.0, &mut rng);
+        let dy = Matrix::random_uniform(20, 28, 1.0, &mut rng);
+        let t = TrafficModel::for_device(&lorafusion_gpu::DeviceKind::H100Sxm.spec());
+        let ref_fwd = reference::forward(&layer, &x, 0, &t).unwrap();
+        let ref_bwd = reference::backward(&layer, &ref_fwd.saved, &dy, &t).unwrap();
+
+        let mut ws = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
+        ws.forward_into(&layer, &x, 0).unwrap();
+        ws.backward_into(&layer, &dy).unwrap();
+
+        assert!(bitwise(&ws.y, &ref_fwd.y), "y diverged from reference");
+        assert!(bitwise(&ws.x_hat, &ref_fwd.saved.x_hat));
+        assert!(bitwise(&ws.s, &ref_fwd.saved.s));
+        assert!(all_close(&ws.dx, &ref_bwd.dx, 1e-5));
+        assert!(all_close(&ws.da, &ref_bwd.grads.da, 1e-5));
+        assert!(all_close(&ws.db, &ref_bwd.grads.db, 1e-5));
+    }
+
+    #[test]
+    fn invalid_plan_is_a_typed_error() {
+        let invalid = ContractionPlan {
+            fwd: FwdOrder::AbFirst,
+            db: DbOrder::ViaS,
+            ..ContractionPlan::DEFAULT
         };
-        let layer = LoraLayer::init_nonzero(40, 24, cfg, &mut rng);
-        let x = Matrix::random_uniform(21, 40, 1.0, &mut rng);
-        let dy = Matrix::random_uniform(21, 24, 1.0, &mut rng);
-
-        let mut fw = fused::Workspace::new();
-        fw.forward_into(&layer, &x, 4).unwrap();
-        fw.backward_into(&layer, &dy).unwrap();
-
-        let mut pw = PlannedWorkspace::new(ContractionPlan::DEFAULT);
-        pw.forward_into(&layer, &x, 4).unwrap();
-        pw.backward_into(&layer, &dy).unwrap();
-
-        for (label, got, want) in [
-            ("y", &pw.y, &fw.y),
-            ("x_hat", &pw.x_hat, &fw.x_hat),
-            ("s", &pw.s, &fw.s),
-            ("dx", &pw.dx, &fw.dx),
-            ("da", &pw.da, &fw.da),
-            ("db", &pw.db, &fw.db),
-        ] {
-            assert!(bitwise(got, want), "{label} diverged from fused workspace");
-        }
+        assert!(matches!(
+            PlannedWorkspace::new(invalid),
+            Err(KernelError::InvalidParameter { name: "plan", .. })
+        ));
     }
 
     /// Zero dropout must short-circuit identically under every plan:
-    /// X̂ a bitwise copy of X, mask routing degraded to plain adds.
+    /// X̂ a bitwise copy of X, mask routing degraded to plain adds. The
+    /// default plan's `Epilogue::Add` path is held to the same bounds as
+    /// its dropout path in `default_plan_matches_reference`.
     #[test]
     fn zero_dropout_round_trips_under_every_plan() {
         let mut rng = Pcg32::seeded(63);
@@ -868,11 +893,17 @@ mod tests {
         let ref_fwd = reference::forward(&layer, &x, 0, &t).unwrap();
         let ref_bwd = reference::backward(&layer, &ref_fwd.saved, &dy, &t).unwrap();
         for p in enumerate() {
-            let mut ws = PlannedWorkspace::new(p);
+            let mut ws = PlannedWorkspace::new(p).unwrap();
             ws.forward_into(&layer, &x, 0).unwrap();
             ws.backward_into(&layer, &dy).unwrap();
             let tag = p.tag();
             assert!(bitwise(&ws.x_hat, &x), "{tag} x_hat must copy x");
+            if p == ContractionPlan::DEFAULT {
+                assert!(bitwise(&ws.y, &ref_fwd.y), "{tag} y must equal reference");
+                assert!(all_close(&ws.dx, &ref_bwd.dx, 1e-5), "{tag} dx");
+                assert!(all_close(&ws.da, &ref_bwd.grads.da, 1e-5), "{tag} da");
+                assert!(all_close(&ws.db, &ref_bwd.grads.db, 1e-5), "{tag} db");
+            }
             assert!(all_close(&ws.y, &ref_fwd.y, 1e-4), "{tag} y");
             assert!(all_close(&ws.dx, &ref_bwd.dx, 1e-4), "{tag} dx");
             assert!(all_close(&ws.da, &ref_bwd.grads.da, 1e-4), "{tag} da");

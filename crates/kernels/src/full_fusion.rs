@@ -1,12 +1,10 @@
-//! The rejected full-graph fusion designs of Fig. 9.
+//! The rejected full-graph fusion designs of Fig. 9, as kernel lowerings.
 //!
 //! The paper considers (and rejects) fusing the *entire* LoRA forward graph
-//! into one kernel. Two variants exist, both modeled here. Functionally the
-//! rejected designs compute the same mathematics — they differ from the
-//! split-graph design only in forward launch structure — so [`forward`]
-//! runs the fused numeric core and swaps in the recompute variant's
-//! single-kernel lowering, and [`backward`] delegates to
-//! [`crate::fused::backward`] unchanged:
+//! into one kernel. Two variants exist, both modeled here. They compute the
+//! same mathematics as the split-graph design and differ from it only in
+//! forward launch structure, so only their forward lowerings live here; the
+//! backward pass is the split-graph one either way:
 //!
 //! * **Recompute** — every output N-tile recomputes its `S` tile from `X̂`
 //!   and `A`, multiplying the down-projection work (and the reads of `X`
@@ -20,12 +18,9 @@
 //! design, reproducing the argument for splitting at the rank-`r` tensor.
 
 use lorafusion_gpu::{KernelClass, KernelProfile};
-use lorafusion_tensor::Matrix;
 
-use crate::fused::{self, BackwardOutput, ForwardOutput, Saved};
-use crate::lora::{LoraLayer, Shape};
+use crate::lora::Shape;
 use crate::traffic::TrafficModel;
-use crate::Result;
 
 /// Output tile width used by the full-fusion estimates.
 pub const TILE_N: usize = 128;
@@ -97,48 +92,12 @@ pub fn forward_profiles_sync(shape: Shape, t: &TrafficModel) -> Vec<KernelProfil
     }]
 }
 
-/// Functional + profiled forward pass of the recompute variant.
-///
-/// The rejected designs produce the same numbers as the split-graph
-/// executor (they move the *same* mathematics into one launch), so the
-/// numeric core is shared with [`crate::fused`] and only the lowering
-/// differs: one `full_fusion_recompute_fwd` kernel instead of the two
-/// split-graph launches.
-pub fn forward(
-    layer: &LoraLayer,
-    x: &Matrix,
-    dropout_row_offset: usize,
-    t: &TrafficModel,
-) -> Result<ForwardOutput> {
-    let _span = lorafusion_trace::span!("full_fusion.forward", m = x.rows());
-    let mut out = fused::forward(layer, x, dropout_row_offset, t)?;
-    let shape = Shape::new(x.rows(), layer.k(), layer.n(), layer.rank());
-    out.kernels = forward_profiles_recompute(shape, t);
-    Ok(out)
-}
-
-/// Functional + profiled backward pass.
-///
-/// Fig. 9's variants only restructure the *forward* graph; the backward
-/// pass is the split-graph one either way.
-pub fn backward(
-    layer: &LoraLayer,
-    saved: &Saved,
-    dy: &Matrix,
-    t: &TrafficModel,
-) -> Result<BackwardOutput> {
-    let _span = lorafusion_trace::span!("full_fusion.backward", m = dy.rows());
-    fused::backward(layer, saved, dy, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lorafusion_gpu::{CostModel, DeviceKind};
-    use lorafusion_tensor::Pcg32;
 
     use crate::fused;
-    use crate::lora::{LoraConfig, LoraLayer};
 
     #[test]
     fn split_graph_beats_both_full_fusion_variants() {
@@ -172,34 +131,5 @@ mod tests {
             re / split
         };
         assert!(rel_cost(16384) >= rel_cost(1024) * 0.99);
-    }
-
-    #[test]
-    fn functional_execution_is_bitwise_equal_to_split_graph() {
-        // Same math, different launch structure: outputs must be
-        // bit-identical to the split-graph executor, with the recompute
-        // variant's single-kernel lowering attached.
-        let t = TrafficModel::for_device(&DeviceKind::H100Sxm.spec());
-        let mut rng = Pcg32::seeded(170);
-        let cfg = LoraConfig {
-            dropout: 0.2,
-            ..LoraConfig::with_rank(4)
-        };
-        let layer = LoraLayer::init_nonzero(24, 18, cfg, &mut rng);
-        let x = Matrix::random_uniform(13, 24, 1.0, &mut rng);
-        let dy = Matrix::random_uniform(13, 18, 1.0, &mut rng);
-
-        let full = forward(&layer, &x, 0, &t).unwrap();
-        let split = fused::forward(&layer, &x, 0, &t).unwrap();
-        assert_eq!(full.y.as_slice(), split.y.as_slice());
-        assert_eq!(full.saved.x_hat.as_slice(), split.saved.x_hat.as_slice());
-        assert_eq!(full.kernels.len(), 1);
-        assert_eq!(full.kernels[0].name, "full_fusion_recompute_fwd");
-
-        let full_bwd = backward(&layer, &full.saved, &dy, &t).unwrap();
-        let split_bwd = fused::backward(&layer, &split.saved, &dy, &t).unwrap();
-        assert_eq!(full_bwd.dx.as_slice(), split_bwd.dx.as_slice());
-        assert_eq!(full_bwd.grads.da.as_slice(), split_bwd.grads.da.as_slice());
-        assert_eq!(full_bwd.grads.db.as_slice(), split_bwd.grads.db.as_slice());
     }
 }

@@ -1,4 +1,5 @@
-//! FusedLoRA — the split-graph fusion design (Fig. 10).
+//! FusedLoRA — the split-graph fusion design (Fig. 10), as a kernel
+//! lowering.
 //!
 //! The graph is split exactly at the rank-`r` intermediate `S = X̂ A`,
 //! which is cheap to materialize. Around that split point every
@@ -14,72 +15,28 @@
 //!   counter-based and regenerated analytically wherever it is needed.
 //! * **K2** (`fused_lora_fwd_base_epilogue`) — the compute-bound base GEMM
 //!   `X W`, then the LoRA term `alpha * S B` accumulated by the
-//!   [`Epilogue::AddScaled`] tile store while each output tile is still in
+//!   `Epilogue::AddScaled` tile store while each output tile is still in
 //!   registers. No separate scale kernel, no separate add kernel.
 //! * **K3** (`fused_lora_bwd_ds_db`) — `dS = alpha * dY Bᵀ` and
 //!   `dB = alpha * Sᵀ dY` with `alpha` folded into the
-//!   [`Epilogue::Scaled`] store of each GEMM.
+//!   `Epilogue::Scaled` store of each GEMM.
 //! * **K4** (`fused_lora_bwd_da`) — `dA = X̂ᵀ dS`, reading the stored `X̂`
 //!   (Fig. 10's op 4: only the small `dS` plus one pass over `X̂`).
 //! * **K5** (`fused_lora_bwd_dx_epilogue`) — the compute-bound `dY Wᵀ`,
 //!   then the mask-routed `dS Aᵀ` contribution accumulated by
-//!   [`Epilogue::AddMasked`], which regenerates the dropout mask from the
+//!   `Epilogue::AddMasked`, which regenerates the dropout mask from the
 //!   counter-based spec inside the tile store. No dropout-backward kernel,
 //!   no accumulation kernel, no materialized mask.
 //!
-//! A steady-state training step through [`Workspace::forward_into`] /
-//! [`Workspace::backward_into`] therefore performs **no full-size
-//! elementwise passes** and **no per-step heap allocation** outside the
-//! GEMM engine's thread-local pack arena (`lorafusion_tensor::arena`),
-//! which itself stops allocating once warmed up. The zero-allocation test
-//! in `crates/kernels/tests/zero_alloc.rs` asserts both properties with a
-//! counting global allocator.
+//! The functional K1..K5 step is
+//! [`ContractionPlan::DEFAULT`](crate::contraction::ContractionPlan::DEFAULT)
+//! run by [`crate::contraction::PlannedWorkspace`]; this module holds the
+//! FLOP/byte lowering that the roofline cost model prices.
 
 use lorafusion_gpu::{KernelClass, KernelProfile};
-use lorafusion_tensor::matmul::{gemm_fused, Epilogue, Layout, Prologue};
-use lorafusion_tensor::{DropoutSpec, Matrix};
 
-use crate::lora::{LoraGrads, LoraLayer, Shape};
+use crate::lora::Shape;
 use crate::traffic::TrafficModel;
-use crate::Result;
-
-/// Activations saved by the fused forward pass.
-///
-/// There is no mask tensor: the dropout mask is a pure function of
-/// [`DropoutSpec`] and the element index, so the backward pass regenerates
-/// it inside the K5 epilogue instead of streaming a saved full-size mask.
-#[derive(Debug, Clone)]
-pub struct Saved {
-    /// The masked input `X̂`, emitted by K1 in the same pass as `S`.
-    pub x_hat: Matrix,
-    /// The counter-based dropout spec (replaces the materialized mask;
-    /// K5 regenerates mask values analytically from it).
-    pub spec: DropoutSpec,
-    /// Low-rank intermediate `S`.
-    pub s: Matrix,
-}
-
-/// Forward result of the fused executor.
-#[derive(Debug, Clone)]
-pub struct ForwardOutput {
-    /// Layer output `Y`.
-    pub y: Matrix,
-    /// Saved activations.
-    pub saved: Saved,
-    /// Kernel profiles in launch order.
-    pub kernels: Vec<KernelProfile>,
-}
-
-/// Backward result of the fused executor.
-#[derive(Debug, Clone)]
-pub struct BackwardOutput {
-    /// Gradient w.r.t. the layer input.
-    pub dx: Matrix,
-    /// Gradients of the adapter weights.
-    pub grads: LoraGrads,
-    /// Kernel profiles in launch order.
-    pub kernels: Vec<KernelProfile>,
-}
 
 /// Kernel lowering of the fused forward pass (profiles only).
 pub fn forward_profiles(shape: Shape, t: &TrafficModel) -> Vec<KernelProfile> {
@@ -165,455 +122,15 @@ pub fn backward_profiles(shape: Shape, t: &TrafficModel) -> Vec<KernelProfile> {
     ]
 }
 
-/// Reusable buffers for the zero-allocation fused training step.
-///
-/// All seven tensors a forward+backward step touches live here and are
-/// `resize`d (capacity-reusing, contents-unspecified) at the start of each
-/// pass. After one warm-up step at a given shape, further steps perform no
-/// heap allocation: the workspace reuses its buffers and the GEMM engine
-/// reuses its thread-local pack arena.
-#[derive(Debug, Clone)]
-pub struct Workspace {
-    /// Layer output `Y` (`m x n`).
-    pub y: Matrix,
-    /// Masked input `X̂` (`m x k`), emitted by K1's pack prologue.
-    pub x_hat: Matrix,
-    /// Low-rank intermediate `S` (`m x r`).
-    pub s: Matrix,
-    /// Low-rank gradient `dS` (`m x r`).
-    pub ds: Matrix,
-    /// Input gradient `dX` (`m x k`).
-    pub dx: Matrix,
-    /// Adapter gradient `dA` (`k x r`).
-    pub da: Matrix,
-    /// Adapter gradient `dB` (`r x n`).
-    pub db: Matrix,
-    /// Dropout spec captured by the last `forward_into` (consumed by the
-    /// backward K5 epilogue).
-    spec: DropoutSpec,
-}
-
-impl Default for Workspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Workspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self {
-            y: Matrix::zeros(0, 0),
-            x_hat: Matrix::zeros(0, 0),
-            s: Matrix::zeros(0, 0),
-            ds: Matrix::zeros(0, 0),
-            dx: Matrix::zeros(0, 0),
-            da: Matrix::zeros(0, 0),
-            db: Matrix::zeros(0, 0),
-            spec: DropoutSpec::new(0.0, 0),
-        }
-    }
-
-    /// The dropout spec captured by the last [`Workspace::forward_into`].
-    pub fn spec(&self) -> DropoutSpec {
-        self.spec
-    }
-
-    /// Zero-temporary fused forward step into the workspace buffers.
-    ///
-    /// K1 computes `S = X̂ A` with dropout applied while `X` is packed and
-    /// `X̂` emitted from the same pass; K2 computes `Y = X W` and then
-    /// accumulates `alpha * S B` through the `AddScaled` tile store. No
-    /// full-size elementwise pass runs and, once warmed up at a shape,
-    /// nothing is allocated.
-    pub fn forward_into(
-        &mut self,
-        layer: &LoraLayer,
-        x: &Matrix,
-        dropout_row_offset: usize,
-    ) -> Result<()> {
-        let _span = lorafusion_trace::span!("fused.forward", m = x.rows(), k = x.cols());
-        let cfg = layer.adapter.config;
-        let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(dropout_row_offset);
-        self.spec = spec;
-        let (m, k) = x.shape();
-        self.x_hat.resize(m, k);
-        self.s.resize(m, layer.rank());
-        self.y.resize(m, layer.n());
-
-        // K1: dropout fused into the down-projection's pack; X̂ emitted from
-        // the same single read of X. With dropout disabled the prologue is
-        // skipped entirely and the emit path degenerates to a copy, so the
-        // saved-activation contract (X̂ always present) still holds.
-        gemm_fused(
-            Layout::Nn,
-            1.0,
-            x,
-            &layer.adapter.a,
-            &mut self.s,
-            Prologue {
-                dropout: (!spec.is_identity()).then_some(spec),
-                softmax_grad: None,
-                emit: Some(self.x_hat.as_mut_slice()),
-            },
-            Epilogue::Overwrite,
-        )?;
-
-        // K2: base GEMM, then the LoRA term accumulated in the tile store.
-        // `C += alpha * P` is the same expression `add(Y1, scale(alpha, S B))`
-        // evaluates per element, so Y is bitwise-equal to the reference
-        // executor's multi-pass composition.
-        gemm_fused(
-            Layout::Nn,
-            1.0,
-            x,
-            &layer.w,
-            &mut self.y,
-            Prologue::none(),
-            Epilogue::Overwrite,
-        )?;
-        gemm_fused(
-            Layout::Nn,
-            1.0,
-            &self.s,
-            &layer.adapter.b,
-            &mut self.y,
-            Prologue::none(),
-            Epilogue::AddScaled(cfg.alpha),
-        )
-    }
-
-    /// Zero-temporary fused backward step into the workspace buffers.
-    ///
-    /// Requires a preceding [`Workspace::forward_into`] (it consumes the
-    /// saved `x_hat`, `s` and dropout spec).
-    pub fn backward_into(&mut self, layer: &LoraLayer, dy: &Matrix) -> Result<()> {
-        let (m, n) = dy.shape();
-        self.ds.resize(m, layer.rank());
-        self.dx.resize(m, layer.k());
-        self.da.resize(layer.k(), layer.rank());
-        self.db.resize(layer.rank(), n);
-        backward_core(
-            layer,
-            &self.x_hat,
-            &self.s,
-            self.spec,
-            dy,
-            &mut self.ds,
-            &mut self.dx,
-            &mut self.da,
-            &mut self.db,
-        )
-    }
-}
-
-/// The shared zero-temporary backward graph (K3..K5). Output buffers must
-/// already have the right shapes.
-#[allow(clippy::too_many_arguments)]
-fn backward_core(
-    layer: &LoraLayer,
-    x_hat: &Matrix,
-    s: &Matrix,
-    spec: DropoutSpec,
-    dy: &Matrix,
-    ds: &mut Matrix,
-    dx: &mut Matrix,
-    da: &mut Matrix,
-    db: &mut Matrix,
-) -> Result<()> {
-    let _span = lorafusion_trace::span!("fused.backward", m = dy.rows(), n = dy.cols());
-    let cfg = layer.adapter.config;
-
-    // K3: dS and dB with alpha folded into the `Scaled` tile store — the
-    // same `alpha * p` expression the old standalone scale kernel computed,
-    // so both are bitwise-unchanged.
-    gemm_fused(
-        Layout::Nt,
-        1.0,
-        dy,
-        &layer.adapter.b,
-        ds,
-        Prologue::none(),
-        Epilogue::Scaled(cfg.alpha),
-    )?;
-    gemm_fused(
-        Layout::Tn,
-        1.0,
-        s,
-        dy,
-        db,
-        Prologue::none(),
-        Epilogue::Scaled(cfg.alpha),
-    )?;
-
-    // K4: dA from the stored masked input.
-    gemm_fused(
-        Layout::Tn,
-        1.0,
-        x_hat,
-        ds,
-        da,
-        Prologue::none(),
-        Epilogue::Overwrite,
-    )?;
-
-    // K5: base input gradient, then the LoRA contribution routed through
-    // the regenerated dropout mask inside the tile store. `AddMasked`
-    // computes `dx += p * mask(i, j)` — the exact per-element expression of
-    // the old hadamard+add pair — without materializing the mask or the
-    // `dS Aᵀ` product.
-    gemm_fused(
-        Layout::Nt,
-        1.0,
-        dy,
-        &layer.w,
-        dx,
-        Prologue::none(),
-        Epilogue::Overwrite,
-    )?;
-    let epilogue = if spec.is_identity() {
-        Epilogue::Add
-    } else {
-        Epilogue::AddMasked(spec)
-    };
-    gemm_fused(
-        Layout::Nt,
-        1.0,
-        ds,
-        &layer.adapter.a,
-        dx,
-        Prologue::none(),
-        epilogue,
-    )
-}
-
-/// Functional + profiled fused forward pass.
-///
-/// Convenience wrapper over [`Workspace::forward_into`] that allocates a
-/// fresh workspace and attaches the kernel lowering; training loops that
-/// care about steady-state allocation behaviour should hold a [`Workspace`]
-/// and call `forward_into` directly.
-///
-/// The output `Y` is **bitwise identical** to [`crate::reference::forward`]:
-/// the fused epilogues evaluate exactly the per-element expressions of the
-/// reference's standalone kernels, in the same order. The backward `dS`
-/// association differs (`alpha` folds into the store rather than
-/// pre-scaling `dY`), so gradients agree to floating-point rounding — the
-/// "functionally identical within numerical precision" guarantee of
-/// Section 6.
-pub fn forward(
-    layer: &LoraLayer,
-    x: &Matrix,
-    dropout_row_offset: usize,
-    t: &TrafficModel,
-) -> Result<ForwardOutput> {
-    let mut ws = Workspace::new();
-    ws.forward_into(layer, x, dropout_row_offset)?;
-    let shape = Shape::new(x.rows(), layer.k(), layer.n(), layer.rank());
-    let Workspace {
-        y, x_hat, s, spec, ..
-    } = ws;
-    Ok(ForwardOutput {
-        y,
-        saved: Saved { x_hat, spec, s },
-        kernels: forward_profiles(shape, t),
-    })
-}
-
-/// Functional + profiled fused backward pass (wrapper over the
-/// zero-temporary core; see [`Workspace::backward_into`]).
-pub fn backward(
-    layer: &LoraLayer,
-    saved: &Saved,
-    dy: &Matrix,
-    t: &TrafficModel,
-) -> Result<BackwardOutput> {
-    let (m, n) = dy.shape();
-    let mut ds = Matrix::zeros(m, layer.rank());
-    let mut dx = Matrix::zeros(m, layer.k());
-    let mut da = Matrix::zeros(layer.k(), layer.rank());
-    let mut db = Matrix::zeros(layer.rank(), n);
-    backward_core(
-        layer,
-        &saved.x_hat,
-        &saved.s,
-        saved.spec,
-        dy,
-        &mut ds,
-        &mut dx,
-        &mut da,
-        &mut db,
-    )?;
-    let shape = Shape::new(dy.rows(), layer.k(), layer.n(), layer.rank());
-    Ok(BackwardOutput {
-        dx,
-        grads: LoraGrads { da, db },
-        kernels: backward_profiles(shape, t),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lorafusion_gpu::{CostModel, DeviceKind, KernelProfile};
-    use lorafusion_tensor::matmul::{matmul_nn, matmul_nt, matmul_tn};
-    use lorafusion_tensor::ops::{add, all_close, hadamard, scale};
-    use lorafusion_tensor::{dropout_mask, Pcg32};
 
-    use crate::lora::LoraConfig;
     use crate::reference;
 
     fn traffic() -> TrafficModel {
         TrafficModel::for_device(&DeviceKind::H100Sxm.spec())
-    }
-
-    fn bitwise(a: &Matrix, b: &Matrix) -> bool {
-        a.shape() == b.shape()
-            && a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    #[test]
-    fn fused_forward_matches_reference_bitwise() {
-        let mut rng = Pcg32::seeded(30);
-        let layer = LoraLayer::init_nonzero(32, 28, LoraConfig::with_rank(4), &mut rng);
-        let x = Matrix::random_uniform(20, 32, 1.0, &mut rng);
-        let t = traffic();
-        let fused = forward(&layer, &x, 0, &t).unwrap();
-        let unfused = reference::forward(&layer, &x, 0, &t).unwrap();
-        // The fused epilogues evaluate the reference's per-element
-        // expressions exactly, so Y is bit-identical, not just close.
-        assert!(
-            bitwise(&fused.y, &unfused.y),
-            "fused Y diverged from reference"
-        );
-        assert!(bitwise(&fused.saved.x_hat, &unfused.saved.x_hat));
-        assert!(bitwise(&fused.saved.s, &unfused.saved.s));
-    }
-
-    #[test]
-    fn fused_backward_matches_reference() {
-        let mut rng = Pcg32::seeded(31);
-        let layer = LoraLayer::init_nonzero(16, 14, LoraConfig::with_rank(4), &mut rng);
-        let x = Matrix::random_uniform(10, 16, 1.0, &mut rng);
-        let dy = Matrix::random_uniform(10, 14, 1.0, &mut rng);
-        let t = traffic();
-        let fused_fwd = forward(&layer, &x, 0, &t).unwrap();
-        let ref_fwd = reference::forward(&layer, &x, 0, &t).unwrap();
-        let fused_bwd = backward(&layer, &fused_fwd.saved, &dy, &t).unwrap();
-        let ref_bwd = reference::backward(&layer, &ref_fwd.saved, &dy, &t).unwrap();
-        assert!(all_close(&fused_bwd.dx, &ref_bwd.dx, 1e-5));
-        assert!(all_close(&fused_bwd.grads.da, &ref_bwd.grads.da, 1e-5));
-        assert!(all_close(&fused_bwd.grads.db, &ref_bwd.grads.db, 1e-5));
-    }
-
-    /// Every fused kernel must be bitwise-equal to the explicit multi-pass
-    /// composition it replaced (the same GEMMs plus standalone mask /
-    /// hadamard / scale / add kernels, associated the fused way).
-    #[test]
-    fn fused_step_is_bitwise_equal_to_its_multipass_composition() {
-        let mut rng = Pcg32::seeded(32);
-        let cfg = LoraConfig {
-            dropout: 0.3,
-            ..LoraConfig::with_rank(4)
-        };
-        let layer = LoraLayer::init_nonzero(33, 21, cfg, &mut rng);
-        let x = Matrix::random_uniform(18, 33, 1.0, &mut rng);
-        let dy = Matrix::random_uniform(18, 21, 1.0, &mut rng);
-        let t = traffic();
-        let alpha = layer.adapter.config.alpha;
-        let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(3);
-
-        let fwd = forward(&layer, &x, 3, &t).unwrap();
-        let bwd = backward(&layer, &fwd.saved, &dy, &t).unwrap();
-
-        // Multi-pass composition with the fused association of alpha.
-        let mask = dropout_mask(x.rows(), x.cols(), &spec).unwrap();
-        let x_hat = hadamard(&x, &mask).unwrap();
-        let s = matmul_nn(&x_hat, &layer.adapter.a).unwrap();
-        let y = add(
-            &matmul_nn(&x, &layer.w).unwrap(),
-            &scale(alpha, &matmul_nn(&s, &layer.adapter.b).unwrap()),
-        )
-        .unwrap();
-        let ds = scale(alpha, &matmul_nt(&dy, &layer.adapter.b).unwrap());
-        let db = scale(alpha, &matmul_tn(&s, &dy).unwrap());
-        let da = matmul_tn(&x_hat, &ds).unwrap();
-        let dx = add(
-            &matmul_nt(&dy, &layer.w).unwrap(),
-            &hadamard(&matmul_nt(&ds, &layer.adapter.a).unwrap(), &mask).unwrap(),
-        )
-        .unwrap();
-
-        for (label, got, want) in [
-            ("x_hat", &fwd.saved.x_hat, &x_hat),
-            ("s", &fwd.saved.s, &s),
-            ("y", &fwd.y, &y),
-            ("dx", &bwd.dx, &dx),
-            ("da", &bwd.grads.da, &da),
-            ("db", &bwd.grads.db, &db),
-        ] {
-            assert!(
-                bitwise(got, want),
-                "{label} diverged from multi-pass composition"
-            );
-        }
-    }
-
-    /// With dropout disabled the identity short-circuit must still emit X̂
-    /// (the saved-activation contract round-trips) and produce the same
-    /// results as the unfused reference.
-    #[test]
-    fn zero_dropout_short_circuit_round_trips() {
-        let mut rng = Pcg32::seeded(33);
-        let cfg = LoraConfig {
-            dropout: 0.0,
-            ..LoraConfig::with_rank(4)
-        };
-        let layer = LoraLayer::init_nonzero(24, 20, cfg, &mut rng);
-        let x = Matrix::random_uniform(12, 24, 1.0, &mut rng);
-        let dy = Matrix::random_uniform(12, 20, 1.0, &mut rng);
-        let t = traffic();
-        let fwd = forward(&layer, &x, 0, &t).unwrap();
-        // X̂ must be a bitwise copy of X (emit with no dropout applied).
-        assert!(bitwise(&fwd.saved.x_hat, &x));
-        assert!(fwd.saved.spec.is_identity());
-        // The saved state must round-trip into the backward pass and match
-        // the unfused reference.
-        let bwd = backward(&layer, &fwd.saved, &dy, &t).unwrap();
-        let ref_fwd = reference::forward(&layer, &x, 0, &t).unwrap();
-        let ref_bwd = reference::backward(&layer, &ref_fwd.saved, &dy, &t).unwrap();
-        assert!(bitwise(&fwd.y, &ref_fwd.y));
-        assert!(all_close(&bwd.dx, &ref_bwd.dx, 1e-5));
-        assert!(all_close(&bwd.grads.da, &ref_bwd.grads.da, 1e-5));
-        assert!(all_close(&bwd.grads.db, &ref_bwd.grads.db, 1e-5));
-    }
-
-    /// The workspace entry points must agree exactly with the allocating
-    /// wrappers (they share the same core).
-    #[test]
-    fn workspace_step_matches_wrappers_bitwise() {
-        let mut rng = Pcg32::seeded(34);
-        let layer = LoraLayer::init_nonzero(40, 26, LoraConfig::with_rank(8), &mut rng);
-        let x = Matrix::random_uniform(17, 40, 1.0, &mut rng);
-        let dy = Matrix::random_uniform(17, 26, 1.0, &mut rng);
-        let t = traffic();
-        let fwd = forward(&layer, &x, 5, &t).unwrap();
-        let bwd = backward(&layer, &fwd.saved, &dy, &t).unwrap();
-        let mut ws = Workspace::new();
-        // Two rounds: the second exercises shape-stable buffer reuse.
-        for _ in 0..2 {
-            ws.forward_into(&layer, &x, 5).unwrap();
-            ws.backward_into(&layer, &dy).unwrap();
-        }
-        assert!(bitwise(&ws.y, &fwd.y));
-        assert!(bitwise(&ws.x_hat, &fwd.saved.x_hat));
-        assert!(bitwise(&ws.s, &fwd.saved.s));
-        assert!(bitwise(&ws.dx, &bwd.dx));
-        assert!(bitwise(&ws.da, &bwd.grads.da));
-        assert!(bitwise(&ws.db, &bwd.grads.db));
     }
 
     #[test]

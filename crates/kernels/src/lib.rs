@@ -6,7 +6,7 @@
 //! design (FusedLoRA / FusedMultiLoRA) that removes it without hurting the
 //! compute-bound base GEMM.
 //!
-//! Every strategy is implemented twice over:
+//! Strategies exist in two forms:
 //!
 //! 1. **Functionally** — real `f32` arithmetic over `lorafusion-tensor`,
 //!    used by the equivalence tests to prove the fusion is *lossless*
@@ -24,25 +24,21 @@
 //! * [`frozen`] — the frozen linear layer (no adapter), the baseline of
 //!   Fig. 3;
 //! * [`reference`] — "Torch LoRA": the unfused PEFT-style execution with
-//!   separate dropout, projection, scale and add kernels (Fig. 4);
+//!   separate dropout, projection, scale and add kernels (Fig. 4); the
+//!   oracle every fused executor is tested against;
+//! * [`contraction`] — the single-adapter fused executor: FLOP-optimal
+//!   contraction-order planning that enumerates the valid orderings of the
+//!   LoRA forward/backward, picks the analytic minimum per shape, and
+//!   executes it through the GEMM engine's hooks;
 //! * [`fused`] — FusedLoRA: the split-graph design of Fig. 10, fusing
 //!   dropout into the down-projection and the LoRA epilogue into the base
-//!   GEMM, splitting only at the rank-`r` tensor `S`;
+//!   GEMM, splitting only at the rank-`r` tensor `S`; the lowering of the
+//!   default [`contraction`] plan;
 //! * [`multi`] — FusedMultiLoRA: tile-level routing of heterogeneous
 //!   adapters in a single launch (Fig. 11);
 //! * [`full_fusion`] — the two *rejected* designs of Fig. 9 (full fusion
-//!   with recomputation, full fusion with cross-tile synchronization);
-//!   functionally identical to [`fused`] (they restructure launches, not
-//!   math), with their own lowerings for the ablation benches;
-//! * [`autotune`] — tile-configuration tuning mirroring the artifact's
-//!   `tools/tune_kernels.py`;
-//! * [`contraction`] — FLOP-optimal contraction-order planning: enumerate
-//!   the valid orderings of the LoRA forward/backward, pick the analytic
-//!   minimum per shape, execute it through the same hook engine;
-//! * [`qlora`] — the Section 7 quantization extension: block-wise 4-bit
-//!   base weights with the two-step dequantize-then-fuse scheme;
-//! * [`variants`] — the Section 7 LoRA-variant extension: prologue/epilogue
-//!   hooks around the fused core, instantiated for VeRA and DoRA;
+//!   with recomputation, full fusion with cross-tile synchronization), as
+//!   lowerings for the ablation benches;
 //! * [`loss`] — chunked fused linear + cross-entropy (Liger-style): the
 //!   LM-head GEMM runs chunk-by-chunk through the microkernel's row-max
 //!   sink and softmax-grad pack prologue, so the `[tokens x vocab]` logits
@@ -50,7 +46,6 @@
 //! * [`chains`] — fused RMSNorm and SwiGLU elementwise chains with
 //!   multi-pass references for the bitwise gates.
 
-pub mod autotune;
 pub mod chains;
 pub mod contraction;
 pub mod frozen;
@@ -59,14 +54,11 @@ pub mod fused;
 pub mod lora;
 pub mod loss;
 pub mod multi;
-pub mod qlora;
 pub mod reference;
 pub mod traffic;
-pub mod variants;
 
 pub use lora::{AdapterWeights, LoraConfig, LoraGrads, LoraLayer, Shape};
 pub use multi::{MultiLoraLayer, Segment};
-pub use qlora::{QLoraLayer, QuantizedMatrix};
 pub use traffic::TrafficModel;
 
 /// Errors from kernel execution (re-exported tensor errors).

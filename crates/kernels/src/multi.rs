@@ -566,7 +566,7 @@ mod tests {
     use lorafusion_tensor::ops::all_close;
     use lorafusion_tensor::Pcg32;
 
-    use crate::fused;
+    use crate::contraction::{ContractionPlan, PlannedWorkspace};
     use crate::lora::LoraConfig;
 
     fn traffic() -> TrafficModel {
@@ -622,17 +622,17 @@ mod tests {
             end: 16,
             dropout_row_offset: 0,
         }];
-        let multi = forward(&layer, &x, &segs, &t).unwrap();
-        let fused = fused::forward(&single, &x, 0, &t).unwrap();
-        assert!(all_close(&multi.y, &fused.y, 1e-5));
-
         let dy = Matrix::random_uniform(16, 18, 1.0, &mut rng);
+        let multi = forward(&layer, &x, &segs, &t).unwrap();
         let multi_bwd = backward(&layer, &multi.saved, &dy, &t).unwrap();
-        let fused_bwd = fused::backward(&single, &fused.saved, &dy, &t).unwrap();
-        assert!(all_close(&multi_bwd.dx, &fused_bwd.dx, 1e-5));
+        let mut fused = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
+        fused.forward_into(&single, &x, 0).unwrap();
+        fused.backward_into(&single, &dy).unwrap();
+        assert!(all_close(&multi.y, &fused.y, 1e-5));
+        assert!(all_close(&multi_bwd.dx, &fused.dx, 1e-5));
         let g = &multi_bwd.grads[&0];
-        assert!(all_close(&g.da, &fused_bwd.grads.da, 1e-5));
-        assert!(all_close(&g.db, &fused_bwd.grads.db, 1e-5));
+        assert!(all_close(&g.da, &fused.da, 1e-5));
+        assert!(all_close(&g.db, &fused.db, 1e-5));
     }
 
     #[test]
@@ -662,7 +662,9 @@ mod tests {
         for (idx, seg) in segs.iter().enumerate() {
             let single = layer.as_single(seg.adapter).unwrap();
             let x_seg = x.slice_rows(seg.start, seg.end).unwrap();
-            let solo = fused::forward(&single, &x_seg, seg.dropout_row_offset, &t).unwrap();
+            let mut solo = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
+            solo.forward_into(&single, &x_seg, seg.dropout_row_offset)
+                .unwrap();
             let joint = multi.y.slice_rows(seg.start, seg.end).unwrap();
             assert!(all_close(&joint, &solo.y, 1e-5), "segment {idx} diverged");
         }

@@ -13,9 +13,10 @@
 //! offline build.
 
 use lorafusion_gpu::DeviceKind;
+use lorafusion_kernels::contraction::{self, ContractionPlan, PlannedWorkspace};
 use lorafusion_kernels::multi::MultiLoraLayer;
 use lorafusion_kernels::{
-    full_fusion, fused, multi, reference, LoraConfig, LoraLayer, Segment, Shape, TrafficModel,
+    full_fusion, multi, reference, LoraConfig, LoraLayer, Segment, Shape, TrafficModel,
 };
 use lorafusion_tensor::pool::{with_pool, Pool};
 use lorafusion_tensor::{Matrix, Pcg32};
@@ -70,6 +71,33 @@ fn build_layer(
     (layer, x, dy)
 }
 
+/// One forward+backward step of `plan` through a fresh workspace.
+fn planned_step(
+    plan: ContractionPlan,
+    layer: &LoraLayer,
+    x: &Matrix,
+    dy: &Matrix,
+) -> PlannedWorkspace {
+    let mut ws = PlannedWorkspace::new(plan).unwrap();
+    ws.forward_into(layer, x, 0).unwrap();
+    ws.backward_into(layer, dy).unwrap();
+    ws
+}
+
+/// Asserts every tensor a planned step produces is bitwise equal.
+fn assert_same_step(tag: &str, threads: usize, base: &PlannedWorkspace, got: &PlannedWorkspace) {
+    for (label, want, have) in [
+        ("y", &base.y, &got.y),
+        ("x_hat", &base.x_hat, &got.x_hat),
+        ("s", &base.s, &got.s),
+        ("dx", &base.dx, &got.dx),
+        ("da", &base.da, &got.da),
+        ("db", &base.db, &got.db),
+    ] {
+        assert_same_bits(&format!("{tag}.{label}"), threads, want, have);
+    }
+}
+
 #[test]
 fn reference_executor_is_bitwise_deterministic_across_threads() {
     let t = traffic();
@@ -104,27 +132,18 @@ fn reference_executor_is_bitwise_deterministic_across_threads() {
 }
 
 #[test]
-fn fused_executor_is_bitwise_deterministic_across_threads() {
-    let t = traffic();
+fn planned_executor_is_bitwise_deterministic_across_threads() {
+    let serial = Pool::new(1);
+    let pools: Vec<(usize, Pool)> = THREAD_SWEEP.iter().map(|&t| (t, Pool::new(t))).collect();
     for &(m, k, n, rank) in &SHAPES {
         let (layer, x, dy) = build_layer(m, k, n, rank, 23);
-        let serial = Pool::new(1);
-        let (base_fwd, base_bwd) = with_pool(&serial, || {
-            let f = fused::forward(&layer, &x, 0, &t).unwrap();
-            let b = fused::backward(&layer, &f.saved, &dy, &t).unwrap();
-            (f, b)
-        });
-        for &threads in &THREAD_SWEEP {
-            let pool = Pool::new(threads);
-            with_pool(&pool, || {
-                let f = fused::forward(&layer, &x, 0, &t).unwrap();
-                assert_same_bits("fused.y", threads, &base_fwd.y, &f.y);
-                assert_same_bits("fused.s", threads, &base_fwd.saved.s, &f.saved.s);
-                let b = fused::backward(&layer, &f.saved, &dy, &t).unwrap();
-                assert_same_bits("fused.dx", threads, &base_bwd.dx, &b.dx);
-                assert_same_bits("fused.da", threads, &base_bwd.grads.da, &b.grads.da);
-                assert_same_bits("fused.db", threads, &base_bwd.grads.db, &b.grads.db);
-            });
+        for plan in contraction::enumerate() {
+            let tag = plan.tag();
+            let base = with_pool(&serial, || planned_step(plan, &layer, &x, &dy));
+            for (threads, pool) in &pools {
+                let got = with_pool(pool, || planned_step(plan, &layer, &x, &dy));
+                assert_same_step(&tag, *threads, &base, &got);
+            }
         }
     }
 }
@@ -224,9 +243,10 @@ fn full_fusion_profiles_are_thread_independent() {
     }
 }
 
-/// The acceptance-scale witness: FusedLoRA forward + backward at the
-/// paper's evaluation shape (4096 tokens, 4096x4096 linear, rank 16) is
-/// bitwise identical between a 1-thread and a 4-thread pool.
+/// The acceptance-scale witness: FusedLoRA (the default contraction plan)
+/// forward + backward at the paper's evaluation shape (4096 tokens,
+/// 4096x4096 linear, rank 16) is bitwise identical between a 1-thread and
+/// a 4-thread pool.
 ///
 /// Ignored by default because the shape is expensive under `cargo test`'s
 /// debug profile; run with
@@ -234,21 +254,9 @@ fn full_fusion_profiles_are_thread_independent() {
 #[test]
 #[ignore = "large shape; run explicitly in release mode"]
 fn fused_large_shape_is_bitwise_identical_serial_vs_parallel() {
-    let t = traffic();
     let (layer, x, dy) = build_layer(4096, 4096, 4096, 16, 4242);
-    let serial = Pool::new(1);
-    let (base_fwd, base_bwd) = with_pool(&serial, || {
-        let f = fused::forward(&layer, &x, 0, &t).unwrap();
-        let b = fused::backward(&layer, &f.saved, &dy, &t).unwrap();
-        (f, b)
-    });
-    let pool = Pool::new(4);
-    with_pool(&pool, || {
-        let f = fused::forward(&layer, &x, 0, &t).unwrap();
-        assert_same_bits("fused4096.y", 4, &base_fwd.y, &f.y);
-        let b = fused::backward(&layer, &f.saved, &dy, &t).unwrap();
-        assert_same_bits("fused4096.dx", 4, &base_bwd.dx, &b.dx);
-        assert_same_bits("fused4096.da", 4, &base_bwd.grads.da, &b.grads.da);
-        assert_same_bits("fused4096.db", 4, &base_bwd.grads.db, &b.grads.db);
-    });
+    let plan = ContractionPlan::DEFAULT;
+    let base = with_pool(&Pool::new(1), || planned_step(plan, &layer, &x, &dy));
+    let got = with_pool(&Pool::new(4), || planned_step(plan, &layer, &x, &dy));
+    assert_same_step("fused4096", 4, &base, &got);
 }

@@ -8,6 +8,7 @@
 //! the unfused reference on random shapes, ranks, dropout rates and seeds.
 
 use lorafusion_gpu::DeviceKind;
+use lorafusion_kernels::contraction::{self, ContractionPlan, PlannedWorkspace};
 use lorafusion_kernels::multi::MultiLoraLayer;
 use lorafusion_kernels::{fused, multi, reference, LoraConfig, LoraLayer, Segment, TrafficModel};
 use lorafusion_tensor::ops::all_close;
@@ -61,33 +62,49 @@ fn build_layer(case: &Case) -> (LoraLayer, Matrix, Matrix) {
     (layer, x, dy)
 }
 
+/// One forward+backward step of `plan` through a fresh workspace.
+fn planned_step(
+    plan: ContractionPlan,
+    layer: &LoraLayer,
+    x: &Matrix,
+    dy: &Matrix,
+) -> PlannedWorkspace {
+    let mut ws = PlannedWorkspace::new(plan).unwrap();
+    ws.forward_into(layer, x, 0).unwrap();
+    ws.backward_into(layer, dy).unwrap();
+    ws
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// FusedLoRA forward output and saved state match Torch LoRA.
+    /// Every contraction plan's forward output and saved `X̂` match Torch
+    /// LoRA.
     #[test]
     fn fused_forward_is_lossless(case in arb_case()) {
-        let (layer, x, _) = build_layer(&case);
+        let (layer, x, dy) = build_layer(&case);
         let t = traffic();
-        let f = fused::forward(&layer, &x, 0, &t).unwrap();
         let r = reference::forward(&layer, &x, 0, &t).unwrap();
-        prop_assert!(all_close(&f.y, &r.y, 1e-4));
-        prop_assert_eq!(&f.saved.x_hat, &r.saved.x_hat);
-        prop_assert_eq!(r.saved.mask.is_none(), f.saved.spec.is_identity());
+        for plan in contraction::enumerate() {
+            let f = planned_step(plan, &layer, &x, &dy);
+            prop_assert!(all_close(&f.y, &r.y, 1e-4));
+            prop_assert_eq!(&f.x_hat, &r.saved.x_hat);
+        }
     }
 
-    /// FusedLoRA backward gradients match Torch LoRA.
+    /// Every contraction plan's gradients match Torch LoRA.
     #[test]
     fn fused_backward_is_lossless(case in arb_case()) {
         let (layer, x, dy) = build_layer(&case);
         let t = traffic();
-        let f_fwd = fused::forward(&layer, &x, 0, &t).unwrap();
         let r_fwd = reference::forward(&layer, &x, 0, &t).unwrap();
-        let f = fused::backward(&layer, &f_fwd.saved, &dy, &t).unwrap();
         let r = reference::backward(&layer, &r_fwd.saved, &dy, &t).unwrap();
-        prop_assert!(all_close(&f.dx, &r.dx, 1e-4));
-        prop_assert!(all_close(&f.grads.da, &r.grads.da, 1e-4));
-        prop_assert!(all_close(&f.grads.db, &r.grads.db, 1e-4));
+        for plan in contraction::enumerate() {
+            let f = planned_step(plan, &layer, &x, &dy);
+            prop_assert!(all_close(&f.dx, &r.dx, 1e-4));
+            prop_assert!(all_close(&f.da, &r.grads.da, 1e-4));
+            prop_assert!(all_close(&f.db, &r.grads.db, 1e-4));
+        }
     }
 
     /// FusedMultiLoRA on a random segmentation matches running each
@@ -138,16 +155,15 @@ proptest! {
             let single = layer.as_single(seg.adapter).unwrap();
             let x_seg = x.slice_rows(seg.start, seg.end).unwrap();
             let dy_seg = dy.slice_rows(seg.start, seg.end).unwrap();
-            let solo_fwd = fused::forward(&single, &x_seg, 0, &t).unwrap();
-            let solo_bwd = fused::backward(&single, &solo_fwd.saved, &dy_seg, &t).unwrap();
+            let solo = planned_step(ContractionPlan::DEFAULT, &single, &x_seg, &dy_seg);
 
             let joint_y = fwd.y.slice_rows(seg.start, seg.end).unwrap();
-            prop_assert!(all_close(&joint_y, &solo_fwd.y, 1e-4));
+            prop_assert!(all_close(&joint_y, &solo.y, 1e-4));
             let joint_dx = bwd.dx.slice_rows(seg.start, seg.end).unwrap();
-            prop_assert!(all_close(&joint_dx, &solo_bwd.dx, 1e-4));
+            prop_assert!(all_close(&joint_dx, &solo.dx, 1e-4));
             let g = &bwd.grads[&seg.adapter];
-            prop_assert!(all_close(&g.da, &solo_bwd.grads.da, 1e-4));
-            prop_assert!(all_close(&g.db, &solo_bwd.grads.db, 1e-4));
+            prop_assert!(all_close(&g.da, &solo.da, 1e-4));
+            prop_assert!(all_close(&g.db, &solo.db, 1e-4));
         }
     }
 

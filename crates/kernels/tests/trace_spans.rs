@@ -17,8 +17,9 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
 use lorafusion_gpu::DeviceKind;
+use lorafusion_kernels::contraction::{ContractionPlan, PlannedWorkspace};
 use lorafusion_kernels::{
-    fused, multi, AdapterWeights, LoraConfig, LoraLayer, MultiLoraLayer, Segment, TrafficModel,
+    multi, AdapterWeights, LoraConfig, LoraLayer, MultiLoraLayer, Segment, TrafficModel,
 };
 use lorafusion_tensor::pool::with_pool;
 use lorafusion_tensor::{Matrix, Pcg32, Pool};
@@ -45,7 +46,7 @@ fn run_workload() {
     let layer = LoraLayer::init_nonzero(k, n, cfg, &mut rng);
     let x = Matrix::random_uniform(m, k, 1.0, &mut rng);
     let dy = Matrix::random_uniform(m, n, 1.0, &mut rng);
-    let mut ws = fused::Workspace::new();
+    let mut ws = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
     ws.forward_into(&layer, &x, 0).unwrap();
     ws.backward_into(&layer, &dy).unwrap();
 
@@ -105,7 +106,7 @@ fn work_span_structure_is_identical_at_any_thread_count() {
     let baseline = capture_paths(1);
 
     // The workload actually produces the span tree we claim to compare.
-    assert_eq!(baseline.get("fused.forward"), Some(&1));
+    assert_eq!(baseline.get("contraction.forward"), Some(&1));
     assert_eq!(baseline.get("multi.forward"), Some(&1));
     assert_eq!(baseline.get("multi.forward/multi.segment"), Some(&3));
     assert_eq!(baseline.get("multi.backward/multi.segment"), Some(&3));
@@ -116,7 +117,9 @@ fn work_span_structure_is_identical_at_any_thread_count() {
         "segment GEMMs must nest under their segment span, got {baseline:?}"
     );
     assert!(
-        baseline.keys().any(|p| p.starts_with("fused.forward/gemm")),
+        baseline
+            .keys()
+            .any(|p| p.starts_with("contraction.forward/gemm")),
         "fused step GEMMs must nest under the executor span"
     );
 
@@ -137,8 +140,8 @@ fn fused_backward_includes_expected_gemm_layouts() {
         assert!(
             baseline
                 .keys()
-                .any(|p| p.starts_with("fused.backward/") && p.ends_with(layout)),
-            "missing {layout} under fused.backward in {baseline:?}"
+                .any(|p| p.starts_with("contraction.backward/") && p.ends_with(layout)),
+            "missing {layout} under contraction.backward in {baseline:?}"
         );
     }
 }

@@ -6,6 +6,7 @@
 //! ```
 
 use lorafusion_gpu::{CostModel, DeviceKind, TrafficLedger};
+use lorafusion_kernels::contraction::{ContractionPlan, PlannedWorkspace};
 use lorafusion_kernels::{fused, reference, LoraConfig, LoraLayer, Shape, TrafficModel};
 use lorafusion_tensor::ops::max_abs_diff;
 use lorafusion_tensor::{Matrix, Pcg32};
@@ -24,24 +25,26 @@ fn main() {
     let dy = Matrix::random_uniform(32, 48, 1.0, &mut rng);
     let traffic = TrafficModel::for_device(&DeviceKind::H100Sxm.spec());
 
+    // FusedLoRA is the fused executor's default contraction plan.
+    let mut fused_ws = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
     let r_fwd = reference::forward(&layer, &x, 0, &traffic).unwrap();
-    let f_fwd = fused::forward(&layer, &x, 0, &traffic).unwrap();
+    fused_ws.forward_into(&layer, &x, 0).unwrap();
     println!(
         "forward  |fused - reference|_inf = {:.2e}",
-        max_abs_diff(&f_fwd.y, &r_fwd.y).unwrap()
+        max_abs_diff(&fused_ws.y, &r_fwd.y).unwrap()
     );
 
     let r_bwd = reference::backward(&layer, &r_fwd.saved, &dy, &traffic).unwrap();
-    let f_bwd = fused::backward(&layer, &f_fwd.saved, &dy, &traffic).unwrap();
+    fused_ws.backward_into(&layer, &dy).unwrap();
     println!(
         "backward |dX|: {:.2e}  |dA|: {:.2e}  |dB|: {:.2e}",
-        max_abs_diff(&f_bwd.dx, &r_bwd.dx).unwrap(),
-        max_abs_diff(&f_bwd.grads.da, &r_bwd.grads.da).unwrap(),
-        max_abs_diff(&f_bwd.grads.db, &r_bwd.grads.db).unwrap(),
+        max_abs_diff(&fused_ws.dx, &r_bwd.dx).unwrap(),
+        max_abs_diff(&fused_ws.da, &r_bwd.grads.da).unwrap(),
+        max_abs_diff(&fused_ws.db, &r_bwd.grads.db).unwrap(),
     );
     println!(
         "dropped activations bit-identical: {}",
-        f_fwd.saved.x_hat == r_fwd.saved.x_hat
+        fused_ws.x_hat == r_fwd.saved.x_hat
     );
 
     // --- Modeled: what the same module costs on an H100. ---
