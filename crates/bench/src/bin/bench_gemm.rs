@@ -32,7 +32,7 @@
 
 use std::time::Instant;
 
-use lorafusion_bench::{fmt, print_table, report, write_json};
+use lorafusion_bench::{fmt, fnv1a, print_table, report, write_json};
 use lorafusion_tensor::matmul::{gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate};
 use lorafusion_tensor::microkernel::Layout;
 use lorafusion_tensor::pool::Pool;
@@ -62,19 +62,6 @@ lorafusion_bench::impl_to_json!(Row {
     speedup_vs_serial,
     bitwise_equal_to_serial,
 });
-
-/// FNV-1a over the output's bit patterns: a stable pure function of the
-/// computed bits for the dual-path digest gate.
-fn fnv1a(bits: &[u32]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bits {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 /// Builds the operands of `C = A (x) B` for `layout` with effective
 /// product shape `m x k x n`.

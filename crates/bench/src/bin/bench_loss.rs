@@ -24,10 +24,21 @@
 //! `loss.*` counters with `trace_validate --require-counter`. Defaults:
 //! 512 tokens x 256 hidden x 4096 vocab, overridable with
 //! `BENCH_LOSS_TOKENS` / `BENCH_LOSS_HIDDEN` / `BENCH_LOSS_VOCAB`.
+//!
+//! `BENCH_LOSS_DIGEST=<path>` switches to the determinism mode, like
+//! `bench_gemm`'s `BENCH_GEMM_DIGEST`: the reference and every fused
+//! (chunk, threads) run of the two sweeps execute once after a warm-up,
+//! the later gates are skipped, and each run writes one line to `<path>`
+//! with FNV-1a digests of its per-token `lse`, per-token loss and `dX`
+//! bits plus the `f64` mean-loss bits. The file
+//! depends only on the computed bits, so `scripts/ci.sh` writes it under
+//! `LORAFUSION_SIMD=0` and under the default and diffs the two: the
+//! in-tree `exp` and the GEMM must give the same loss head on both SIMD
+//! spellings.
 
 use std::time::Instant;
 
-use lorafusion_bench::{fmt, print_table, report, write_json};
+use lorafusion_bench::{fmt, fnv1a, print_table, report, write_json};
 use lorafusion_dist::memory::{LossMode, MemoryPlan};
 use lorafusion_dist::model_config::ModelPreset;
 use lorafusion_gpu::DeviceKind;
@@ -93,6 +104,17 @@ impl LossBits {
             && self.dx == other.dx
             && self.mean == other.mean
     }
+
+    /// One digest-file line for the run `label`.
+    fn digest_line(&self, label: &str) -> String {
+        format!(
+            "{label} lse={:016x} loss={:016x} dx={:016x} mean={:016x}",
+            fnv1a(&self.lse),
+            fnv1a(&self.losses),
+            fnv1a(&self.dx),
+            self.mean
+        )
+    }
 }
 
 fn time_median(reps: usize, mut step: impl FnMut()) -> f64 {
@@ -123,7 +145,18 @@ fn main() {
     let hidden = env_usize("BENCH_LOSS_HIDDEN", 256);
     let vocab = env_usize("BENCH_LOSS_VOCAB", 4096);
     let shape = format!("{tokens}x{hidden}x{vocab}");
-    let reps = if tokens * vocab > 1 << 20 { 5 } else { 9 };
+    let digest_path = std::env::var("BENCH_LOSS_DIGEST")
+        .ok()
+        .filter(|p| !p.is_empty());
+    let mut digest_lines: Vec<String> = Vec::new();
+    // The digest mode needs each run's bits, not its time.
+    let reps = if digest_path.is_some() {
+        1
+    } else if tokens * vocab > 1 << 20 {
+        5
+    } else {
+        9
+    };
 
     let mut rng = Pcg32::seeded(0x105E);
     let x = Matrix::random_uniform(tokens, hidden, 0.5, &mut rng);
@@ -163,6 +196,7 @@ fn main() {
         2 * tokens * vocab,
         "reference peak must be logits + dlogits"
     );
+    digest_lines.push(ref_bits.digest_line("reference t=1"));
     rows.push(row(
         "reference".into(),
         0,
@@ -199,6 +233,7 @@ fn main() {
             bitwise,
             "fused chunk={chunk} diverged from reference bitwise"
         );
+        digest_lines.push(fused_bits.digest_line(&format!("fused chunk={chunk} t=1")));
         let ratio = ref_peak as f64 / peak as f64;
         assert!(
             ratio + 1e-9 >= (tokens as f64 / chunk.min(tokens) as f64),
@@ -224,6 +259,7 @@ fn main() {
             fused_bits.matches(&ref_bits),
             "fused loss diverged at {threads} threads"
         );
+        digest_lines.push(fused_bits.digest_line(&format!("fused chunk={chunk} t={threads}")));
         rows.push(row(
             "fused".into(),
             chunk,
@@ -233,6 +269,16 @@ fn main() {
             ref_peak as f64 / peak as f64,
             true,
         ));
+    }
+
+    if let Some(path) = digest_path {
+        let body = digest_lines.join("\n") + "\n";
+        std::fs::write(&path, body).expect("failed to write digest file");
+        println!(
+            "(BENCH_LOSS_DIGEST: wrote {} run digests to {path}; path={simd_path})",
+            digest_lines.len()
+        );
+        return;
     }
 
     // Elementwise chains: fused vs multi-pass reference, gated bitwise.

@@ -122,6 +122,19 @@ pub fn write_json<T: ToJson>(name: &str, value: &T) {
     let _ = fs::write(dir.join(format!("{name}.json")), value.to_json().pretty());
 }
 
+/// FNV-1a over `f32` bit patterns: a stable pure function of the computed
+/// bits, for the dual-path digest gates of `bench_gemm` and `bench_loss`.
+pub fn fnv1a(bits: &[u32]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for b in bits {
+        for byte in b.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
 /// Formats a float with the given precision.
 pub fn fmt(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")

@@ -14,10 +14,15 @@
 //!    logits row once instead of twice.
 //! 2. **LSE pass (per chunk)** — per-row ascending sum-of-exponentials and
 //!    `log_sum_exp`, parallel over rows (each row is one unbroken chain).
+//!    The exps are the in-tree `lorafusion_tensor::simd::exp` (no libm),
+//!    computed 64 at a time by the active SIMD spelling and folded one by
+//!    one into the row's chain.
 //! 3. **K2 (per chunk)** — `dX_chunk = softmax_grad(logits) @ Wᵀ` with the
-//!    softmax-grad *pack prologue*: the logits chunk is transformed into
-//!    its cross-entropy gradient while being packed, so the `dlogits`
-//!    matrix is never materialized either.
+//!    softmax-grad *pack prologue*: while the logits chunk is packed, each
+//!    row segment goes through `tloss::softmax_grad_row` (vectorized exps,
+//!    the target column fixed up once) into a stack buffer, so the
+//!    `dlogits` matrix is never materialized either. The reference's
+//!    materialized `dlogits` pass calls the same row helper.
 //!
 //! Peak live memory for the head drops from `2 * tokens x vocab`
 //! (logits + dlogits) to `chunk x vocab` — the chunked buffer is reused
@@ -28,8 +33,11 @@
 //! thread count: token chunks own whole rows, the engine's per-element
 //! GEMM reduction is independent of `m`, row reductions follow the fixed
 //! chunk-merge contract of `lorafusion_tensor::loss`, and both paths call
-//! the same scalar helpers. `bench_loss` asserts this in-binary across a
-//! chunk sweep and a thread sweep; `scripts/ci.sh` gates it.
+//! the same row helpers, whose elementwise results do not depend on how a
+//! row is segmented or on the SIMD spelling. `bench_loss` asserts this
+//! in-binary across a chunk sweep and a thread sweep; `scripts/ci.sh`
+//! gates it, and diffs its loss digests under `LORAFUSION_SIMD=0` and the
+//! default.
 //!
 //! **No `dW`.** The LM head is frozen under LoRA fine-tuning (only
 //! adapters train), matching `frozen::backward_profiles`, so neither path
@@ -364,10 +372,11 @@ pub fn reference_linear_ce_into(
     lse_pass(ws.logits.as_slice(), v, &mut ws.lse);
     // Pass 4: per-token losses.
     loss_fill(ws.logits.as_slice(), v, targets, &ws.lse, &mut ws.losses, 0);
-    // Pass 5: materialized dlogits through the same scalar helper the
-    // fused pack-prologue calls.
+    // Pass 5: materialized dlogits through the same row helper the fused
+    // pack-prologue calls (with its `alpha = 1`), one whole row at a time.
     {
         let (logits, lse) = (&ws.logits, &ws.lse);
+        let path = lorafusion_tensor::simd::active_path();
         let rows_per_task = m.div_ceil(p.threads().max(1)).max(1);
         pool::parallel_chunks_mut(
             p,
@@ -375,13 +384,16 @@ pub fn reference_linear_ce_into(
             rows_per_task * v,
             |t, chunk| {
                 let row0 = t * rows_per_task;
-                for (idx, d) in chunk.iter_mut().enumerate() {
-                    let (i, j) = (row0 + idx / v, idx % v);
-                    *d = tloss::softmax_grad(
-                        logits.as_slice()[i * v + j],
+                for (r, drow) in chunk.chunks_mut(v.max(1)).enumerate() {
+                    let i = row0 + r;
+                    tloss::softmax_grad_row(
+                        path,
+                        &logits.as_slice()[i * v..(i + 1) * v],
                         lse[i],
-                        targets[i] as usize == j,
+                        Some(targets[i] as usize),
                         scale,
+                        1.0,
+                        drow,
                     );
                 }
             },
@@ -569,7 +581,7 @@ mod tests {
         let want_dx = bits(reference.dx.as_slice());
         let want_mean = reference.mean_loss.to_bits();
 
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 4, 8] {
             let pool = Pool::new(threads);
             pool::with_pool(&pool, || {
                 for chunk in [1usize, 5, 16, 37, 64] {

@@ -35,6 +35,16 @@
 //!   accumulator in an exact `f32` slot between row segments (as the
 //!   chunked kernel does when it resumes a row) reorders nothing and
 //!   rounds nothing.
+//! * **One `exp`, no libm.** Every exponential here is the in-tree
+//!   [`crate::simd::exp`]: Cody-Waite reduction plus the Cephes `expf`
+//!   polynomial in plain multiply/add, within 1 ulp of the correctly
+//!   rounded value, flushed to `+0` below the smallest normal result. It
+//!   has one definition and two spellings (8-lane AVX2 and a scalar twin)
+//!   that agree bit for bit, so [`row_sum_exp`] and [`softmax_grad_row`]
+//!   vectorize their exps in 64-element blocks without the spelling, the
+//!   block boundaries, or `LORAFUSION_SIMD` reaching a result bit. The
+//!   fused head and the unfused reference call the same row helpers, so
+//!   they stay bitwise-equal at every chunk size.
 //! * **Batch totals fold in ascending token order.** The mean loss is an
 //!   ascending-token `f64` fold over per-token losses with one carried
 //!   accumulator — independent of how tokens were chunked.
@@ -44,6 +54,8 @@
 //! order depends only on `k`, never on `m`, so the rows of a `[chunk x
 //! vocab]` product are bit-for-bit the rows of the full `[tokens x
 //! vocab]` product.
+
+use crate::simd;
 
 /// Maximum of a row, folded in ascending index order from
 /// [`f32::NEG_INFINITY`] (the max of an empty row).
@@ -61,17 +73,34 @@ pub fn merge_max(partials: &[f32]) -> f32 {
     row_max(partials)
 }
 
+/// Block length of the vectorized exponentials in [`row_sum_exp`] and of
+/// the row segments the GEMM's softmax-grad pack hands to
+/// [`softmax_grad_row`]: one stack buffer of exps per block.
+pub(crate) const EXP_BLOCK: usize = 64;
+
 /// Sum of `exp(x - max)` over a row, accumulated in one ascending-index
 /// `f32` chain.
+///
+/// The exponentials are the in-tree [`crate::simd::exp`], computed 64 at
+/// a time through the active SIMD spelling into a stack buffer; the sum
+/// then folds them one by one, in index order, into the single carried
+/// accumulator. Blocking only decides when each `exp` is computed, never
+/// the order of the additions.
 ///
 /// `max` must be the row's maximum so every exponent is `<= 0` and the
 /// sum is in `[1, len]` — the classic stable log-sum-exp shift. An empty
 /// row sums to `0.0`.
 #[inline]
 pub fn row_sum_exp(xs: &[f32], max: f32) -> f32 {
+    let path = simd::active_path();
+    let mut buf = [0.0f32; EXP_BLOCK];
     let mut acc = 0.0f32;
-    for &v in xs {
-        acc += (v - max).exp();
+    for block in xs.chunks(EXP_BLOCK) {
+        let e = &mut buf[..block.len()];
+        simd::exp_shifted_on_path(path, block, max, e);
+        for &v in e.iter() {
+            acc += v;
+        }
     }
     acc
 }
@@ -94,14 +123,46 @@ pub fn log_sum_exp(max: f32, sum_exp: f32) -> f32 {
 ///
 /// `exp(v - lse)` *is* the softmax probability of `v` (the `exp`-based
 /// spelling that never materializes the probability row), and subtracting
-/// the one-hot target gives `dL/dlogit` for a `scale`-weighted loss.
-/// Both the fused pack-prologue and the unfused reference call this exact
-/// function, so the gradient is bitwise-identical wherever it is
-/// evaluated.
+/// the one-hot target gives `dL/dlogit` for a `scale`-weighted loss. The
+/// exponential is the scalar twin [`crate::simd::exp`]. This is the
+/// per-element definition; the kernels evaluate it a row segment at a
+/// time through [`softmax_grad_row`], which gives the same bits.
 #[inline]
 pub fn softmax_grad(v: f32, lse: f32, is_target: bool, scale: f32) -> f32 {
     let onehot = if is_target { 1.0 } else { 0.0 };
-    scale * ((v - lse).exp() - onehot)
+    scale * (simd::exp(v - lse) - onehot)
+}
+
+/// `dst[j] = alpha * softmax_grad(src[j], lse, j == target, scale)` over a
+/// contiguous segment of one logits row, with the exponentials computed
+/// by the `path` spelling of [`crate::simd::exp_shifted_on_path`].
+/// `target` is the target column relative to the segment start, `None`
+/// when the segment does not hold it; `dst` and `src` must have the same
+/// length.
+///
+/// Bitwise-equal to the per-element definition: off the target column
+/// `e - 0.0 == e` for every `e` an exponential can return, so the one-hot
+/// subtraction is applied once, to the target column, instead of being
+/// tested per element. Both the fused GEMM pack prologue and the unfused
+/// reference dlogits pass call this function.
+#[inline]
+pub fn softmax_grad_row(
+    path: simd::SimdPath,
+    src: &[f32],
+    lse: f32,
+    target: Option<usize>,
+    scale: f32,
+    alpha: f32,
+    dst: &mut [f32],
+) {
+    simd::exp_shifted_on_path(path, src, lse, dst);
+    let target = target.and_then(|t| dst.get(t).map(|&e| (t, e)));
+    for d in dst.iter_mut() {
+        *d = alpha * (scale * *d);
+    }
+    if let Some((t, e)) = target {
+        dst[t] = alpha * (scale * (e - 1.0));
+    }
 }
 
 /// Cross-entropy loss of one token: `lse - target_logit`
@@ -152,11 +213,44 @@ mod tests {
                 for seg in row.chunks(block) {
                     let mut acc = parked;
                     for &v in seg {
-                        acc += (v - max).exp();
+                        acc += simd::exp(v - max);
                     }
                     parked = acc;
                 }
                 assert_eq!(parked.to_bits(), want.to_bits(), "len {len} block {block}");
+            }
+        }
+    }
+
+    /// The row-segment helper must reproduce the per-element definition
+    /// bit for bit on every spelling, with the target column inside the
+    /// segment, at its edges, or outside it, and with `alpha` folded in.
+    #[test]
+    fn softmax_grad_row_matches_per_element_definition() {
+        let row = random_row(2 * EXP_BLOCK + 13, 31);
+        let max = row_max(&row);
+        let lse = log_sum_exp(max, row_sum_exp(&row, max));
+        let mut paths = vec![simd::path_for(true), simd::path_for(false)];
+        paths.dedup();
+        for path in paths {
+            for (col0, len) in [(0usize, row.len()), (7, EXP_BLOCK), (100, 3)] {
+                let seg = &row[col0..col0 + len];
+                for target in [0usize, col0, col0 + len - 1, row.len() - 1] {
+                    for (scale, alpha) in [(0.25f32, 1.0f32), (1.0 / 3.0, -1.5)] {
+                        let mut got = vec![f32::NAN; len];
+                        let rel = target.checked_sub(col0).filter(|&t| t < len);
+                        softmax_grad_row(path, seg, lse, rel, scale, alpha, &mut got);
+                        for (j, (&g, &v)) in got.iter().zip(seg).enumerate() {
+                            let want = alpha * softmax_grad(v, lse, col0 + j == target, scale);
+                            assert_eq!(
+                                g.to_bits(),
+                                want.to_bits(),
+                                "{path:?} col {} target {target}",
+                                col0 + j
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -173,7 +267,8 @@ mod tests {
         let target = 13usize;
         let scale = 0.25f32;
 
-        // Materialized softmax via the same shift.
+        // Materialized softmax via the same shift (libm `exp`, so this
+        // also checks the in-tree exponential against it).
         let probs: Vec<f32> = row.iter().map(|&v| (v - max).exp() / sum).collect();
         let psum: f32 = probs.iter().sum();
         assert!((psum - 1.0).abs() < 1e-5, "probs sum {psum}");

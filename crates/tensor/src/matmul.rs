@@ -124,8 +124,10 @@ impl From<Accumulate> for Epilogue {
 
 /// Validates the fusion hooks of a GEMM call: dropout probabilities in
 /// range, the emit buffer exactly as long as the `A` operand, and the
-/// softmax-grad tables sized to the logical `m x k` operand.
+/// softmax-grad prologue alone on a row-major `A` (no dropout, no emit,
+/// not `Layout::Tn`) with its tables sized to the `m x k` operand.
 fn check_fusion(
+    layout: Layout,
     prologue: &Prologue<'_>,
     epilogue: &Epilogue,
     a_len: usize,
@@ -151,6 +153,18 @@ fn check_fusion(
             return Err(TensorError::InvalidParameter {
                 name: "softmax_grad",
                 reason: "softmax-grad and dropout prologues are mutually exclusive",
+            });
+        }
+        if prologue.emit.is_some() {
+            return Err(TensorError::InvalidParameter {
+                name: "softmax_grad",
+                reason: "the softmax-grad prologue does not emit its operand",
+            });
+        }
+        if layout == Layout::Tn {
+            return Err(TensorError::InvalidParameter {
+                name: "softmax_grad",
+                reason: "the softmax-grad prologue needs a row-major A (Layout::Nn or Layout::Nt)",
             });
         }
         if sg.lse.len() != m {
@@ -276,7 +290,7 @@ pub fn gemm_fused_on_path(
         ),
     };
     check_shapes(op, out_op, a, b, c, (k, kb), (m, n))?;
-    check_fusion(&prologue, &epilogue, a.len(), m, k)?;
+    check_fusion(layout, &prologue, &epilogue, a.len(), m, k)?;
     let _span = gemm_trace(layout, m, k, n);
     count_dispatch(path);
     microkernel::gemm(
@@ -341,7 +355,7 @@ pub fn gemm_windows_on(
             });
         }
     }
-    check_fusion(&prologue, &epilogue, a.len(), m, k)?;
+    check_fusion(layout, &prologue, &epilogue, a.len(), m, k)?;
     let _span = gemm_trace(layout, m, k, n);
     let path = simd::active_path();
     count_dispatch(path);
@@ -427,7 +441,7 @@ pub fn gemm_windows_rowmax_on(
             });
         }
     }
-    check_fusion(&prologue, &epilogue, a.len(), m, k)?;
+    check_fusion(layout, &prologue, &epilogue, a.len(), m, k)?;
     let _span = gemm_trace(layout, m, k, n);
     let path = simd::active_path();
     count_dispatch(path);
@@ -735,15 +749,18 @@ mod tests {
         }
     }
 
-    /// The softmax-grad prologue must pack exactly what the shared scalar
-    /// helper computes on the materialized operand, in both the row-major
-    /// (`NT`) and transposed (`TN`) gathers.
+    /// The softmax-grad prologue must pack exactly what the per-element
+    /// definition computes on the materialized operand, in both row-major
+    /// layouts (`NN`, and `NT` as the loss head runs it), across partial
+    /// row blocks and an edge strip, on both SIMD spellings, at 1 and 3
+    /// threads.
     #[test]
     fn softmax_grad_prologue_matches_materialized_transform() {
-        let (m, v, h) = (MR + 3, 37, 11);
+        let (m, v, h) = (MR + 3, crate::loss::EXP_BLOCK + 37, 11);
         let mut rng = Pcg32::seeded(91);
         let logits = Matrix::random_gaussian(m, v, 1.0, &mut rng);
         let w = Matrix::random_gaussian(v, h, 1.0, &mut rng);
+        let w_t = w.transpose();
         let lse: Vec<f32> = (0..m)
             .map(|i| {
                 let row = &logits.as_slice()[i * v..(i + 1) * v];
@@ -751,10 +768,10 @@ mod tests {
                 crate::loss::log_sum_exp(mx, crate::loss::row_sum_exp(row, mx))
             })
             .collect();
-        let targets: Vec<u32> = (0..m).map(|i| ((i * 7) % v) as u32).collect();
+        let targets: Vec<u32> = (0..m).map(|i| ((i * 29) % v) as u32).collect();
         let scale = 0.125f32;
 
-        // Materialized dlogits through the same scalar helper.
+        // Materialized dlogits through the per-element definition.
         let mut dlogits = Matrix::zeros(m, v);
         for i in 0..m {
             for j in 0..v {
@@ -769,46 +786,39 @@ mod tests {
         }
         let want = matmul_nn(&dlogits, &w).unwrap();
 
-        let pool = Pool::new(2);
         let spec = SoftmaxGradSpec {
             lse: &lse,
             targets: &targets,
             scale,
         };
-        // NN (row-major gather): dlogits @ W fused from the logits.
-        let mut got = Matrix::zeros(m, h);
-        gemm_fused_on(
-            &pool,
-            Layout::Nn,
-            1.0,
-            &logits,
-            &w,
-            &mut got,
-            Prologue::softmax_grad(spec),
-            Epilogue::Overwrite,
-        )
-        .unwrap();
-        assert!(bitwise_eq(&want, &got), "nn gather");
-
-        // TN (transposed gather): the same product from logitsᵀ.
-        let logits_t = logits.transpose();
-        let mut got_t = Matrix::zeros(m, h);
-        gemm_fused_on(
-            &pool,
-            Layout::Tn,
-            1.0,
-            &logits_t,
-            &w,
-            &mut got_t,
-            Prologue::softmax_grad(spec),
-            Epilogue::Overwrite,
-        )
-        .unwrap();
-        assert!(bitwise_eq(&want, &got_t), "tn gather");
+        let mut paths = vec![simd::path_for(true), simd::path_for(false)];
+        paths.dedup();
+        for threads in [1usize, 3] {
+            let pool = Pool::new(threads);
+            for &path in &paths {
+                for (layout, b) in [(Layout::Nn, &w), (Layout::Nt, &w_t)] {
+                    let mut got = Matrix::zeros(m, h);
+                    gemm_fused_on_path(
+                        &pool,
+                        path,
+                        layout,
+                        1.0,
+                        &logits,
+                        b,
+                        &mut got,
+                        Prologue::softmax_grad(spec),
+                        Epilogue::Overwrite,
+                    )
+                    .unwrap();
+                    assert!(bitwise_eq(&want, &got), "{path:?} {layout:?} t={threads}");
+                }
+            }
+        }
     }
 
     /// Softmax-grad validation: wrong table lengths, out-of-range targets,
-    /// and combination with dropout must all be rejected.
+    /// combination with dropout or emit, and the transposed (`TN`) gather
+    /// must all be rejected with a typed error.
     #[test]
     fn softmax_grad_validation_rejects_bad_specs() {
         let m = 4;
@@ -819,15 +829,25 @@ mod tests {
         let mut c = Matrix::zeros(m, 3);
         let lse = vec![0.0f32; m];
         let targets = vec![0u32; m];
+        let spec = SoftmaxGradSpec {
+            lse: &lse,
+            targets: &targets,
+            scale: 1.0,
+        };
         let pool = Pool::new(1);
+        let invalid = |r: Result<()>| {
+            matches!(
+                r,
+                Err(TensorError::InvalidParameter { .. } | TensorError::LengthMismatch { .. })
+            )
+        };
 
         let short_lse = vec![0.0f32; m - 1];
         let bad = Prologue::softmax_grad(SoftmaxGradSpec {
             lse: &short_lse,
-            targets: &targets,
-            scale: 1.0,
+            ..spec
         });
-        assert!(gemm_fused_on(
+        assert!(invalid(gemm_fused_on(
             &pool,
             Layout::Nn,
             1.0,
@@ -836,16 +856,14 @@ mod tests {
             &mut c,
             bad,
             Epilogue::Overwrite
-        )
-        .is_err());
+        )));
 
         let oob = vec![v as u32; m];
         let bad = Prologue::softmax_grad(SoftmaxGradSpec {
-            lse: &lse,
             targets: &oob,
-            scale: 1.0,
+            ..spec
         });
-        assert!(gemm_fused_on(
+        assert!(invalid(gemm_fused_on(
             &pool,
             Layout::Nn,
             1.0,
@@ -854,19 +872,13 @@ mod tests {
             &mut c,
             bad,
             Epilogue::Overwrite
-        )
-        .is_err());
+        )));
 
         let both = Prologue {
             dropout: Some(crate::dropout::DropoutSpec::new(0.5, 1)),
-            softmax_grad: Some(SoftmaxGradSpec {
-                lse: &lse,
-                targets: &targets,
-                scale: 1.0,
-            }),
-            emit: None,
+            ..Prologue::softmax_grad(spec)
         };
-        assert!(gemm_fused_on(
+        assert!(invalid(gemm_fused_on(
             &pool,
             Layout::Nn,
             1.0,
@@ -875,8 +887,43 @@ mod tests {
             &mut c,
             both,
             Epilogue::Overwrite
-        )
-        .is_err());
+        )));
+
+        let mut emitted = vec![0.0f32; m * v];
+        let emit = Prologue {
+            emit: Some(&mut emitted),
+            ..Prologue::softmax_grad(spec)
+        };
+        assert!(matches!(
+            gemm_fused_on(
+                &pool,
+                Layout::Nn,
+                1.0,
+                &logits,
+                &w,
+                &mut c,
+                emit,
+                Epilogue::Overwrite
+            ),
+            Err(TensorError::InvalidParameter { .. })
+        ));
+
+        // The transposed gather: logitsᵀ through `TN` is rejected, where
+        // it used to pack the same product.
+        let logits_t = logits.transpose();
+        assert!(matches!(
+            gemm_fused_on(
+                &pool,
+                Layout::Tn,
+                1.0,
+                &logits_t,
+                &w,
+                &mut c,
+                Prologue::softmax_grad(spec),
+                Epilogue::Overwrite
+            ),
+            Err(TensorError::InvalidParameter { .. })
+        ));
     }
 
     /// Parallel GEMMs must be bitwise-identical to the 1-thread path for

@@ -52,8 +52,10 @@
 //!   `f32` buffer between blocks, which reorders nothing and rounds
 //!   nothing — the engine stays bitwise-equal to a naive ascending-`k`
 //!   loop at *every* `k`, which the fuzz suite asserts;
-//! * packing only copies values, multiplies by `alpha`, or multiplies by
-//!   the deterministic dropout mask value, so it cannot perturb a bit, and
+//! * packing only copies values, multiplies by `alpha`, multiplies by
+//!   the deterministic dropout mask value, or applies the softmax-grad
+//!   transform (a pure function of the element, its row's `lse`/target
+//!   and its column), so where it runs cannot perturb a bit, and
 //!   zero padding in edge strips is written explicitly but only ever
 //!   multiplies into padded accumulator lanes that are never stored;
 //! * epilogues are applied per element exactly once, in the same
@@ -67,6 +69,7 @@
 
 use crate::arena::Scratch;
 use crate::dropout::DropoutSpec;
+use crate::loss::EXP_BLOCK;
 use crate::pool::{self, Pool};
 use crate::simd::{self, SimdPath};
 
@@ -164,8 +167,8 @@ pub enum Epilogue {
     AddMasked(DropoutSpec),
 }
 
-/// Softmax-gradient pack transform: replaces each logical-`A` element
-/// `v` at `(row, col)` with
+/// Softmax-gradient pack transform: replaces each element `v` at
+/// `(row, col)` of a row-major `A` with
 /// `scale * (exp(v - lse[row]) - onehot(col == targets[row]))` while the
 /// panel is gathered (see [`crate::loss::softmax_grad`]).
 ///
@@ -174,7 +177,7 @@ pub enum Epilogue {
 /// the `[chunk x vocab]` gradient matrix is never materialized. The
 /// transform is a pure function of `(v, row, col)` and the per-row `lse`
 /// / `targets` tables, so *where* it is evaluated (which strip, which
-/// thread, row-major or transposed gather) cannot change a bit.
+/// thread, which row segment) cannot change a bit.
 #[derive(Clone, Copy)]
 pub struct SoftmaxGradSpec<'a> {
     /// Per-logical-row log-sum-exp of the `A` operand; length `m`.
@@ -186,30 +189,17 @@ pub struct SoftmaxGradSpec<'a> {
     pub scale: f32,
 }
 
-impl SoftmaxGradSpec<'_> {
-    /// Transform of one logical-`A` element at `(row, col)`.
-    #[inline]
-    fn apply(&self, v: f32, row: usize, col: usize) -> f32 {
-        crate::loss::softmax_grad(
-            v,
-            self.lse[row],
-            self.targets[row] as usize == col,
-            self.scale,
-        )
-    }
-}
-
 /// Pack-prologue applied to the `A` operand while its panels are gathered.
 ///
 /// * `dropout` multiplies each element by its counter-based mask value
 ///   (`spec.scale()` or `0.0`) in the *source* matrix's coordinates, so the
 ///   packed operand is bitwise-identical to `hadamard(A, mask)` without a
 ///   mask matrix or an extra pass.
-/// * `softmax_grad` rewrites each element through
-///   [`crate::loss::softmax_grad`] in *logical* `A` coordinates (row of
-///   the `m x k` operand, column along `k`), turning a logits operand
-///   into its cross-entropy gradient in-flight. Mutually exclusive with
-///   `dropout` (enforced by `matmul::check_fusion`).
+/// * `softmax_grad` rewrites a row-major `A` (`Layout::Nn`/`Layout::Nt`)
+///   through [`crate::loss::softmax_grad_row`], one row segment at a time,
+///   turning a logits operand into its cross-entropy gradient in-flight.
+///   It cannot be combined with `dropout`, `emit` or `Layout::Tn`
+///   (`matmul::check_fusion` rejects those).
 /// * `emit` additionally writes the post-transform (pre-`alpha`) operand
 ///   to a buffer with the same layout and length as the `A` source. This
 ///   is how the fused LoRA forward saves `X̂` for the backward pass during
@@ -279,19 +269,18 @@ impl SendPtr {
 // survive packing).
 // ---------------------------------------------------------------------------
 
-/// Per-strip view of the prologue, capturable by `Sync` pack closures.
+/// Per-strip view of the dropout/emit prologue, capturable by `Sync` pack
+/// closures.
 #[derive(Clone, Copy)]
-struct PackFusion<'a> {
+struct PackFusion {
     dropout: Option<DropoutSpec>,
-    softmax_grad: Option<SoftmaxGradSpec<'a>>,
     emit: Option<*const SendPtr>,
 }
 
-impl PackFusion<'_> {
+impl PackFusion {
     #[cfg(test)]
-    const NONE: PackFusion<'static> = PackFusion {
+    const NONE: PackFusion = PackFusion {
         dropout: None,
-        softmax_grad: None,
         emit: None,
     };
 
@@ -301,38 +290,27 @@ impl PackFusion<'_> {
         // local in `gemm`, which blocks until packing completes).
         self.emit.map(|p| unsafe { (*p).get() })
     }
-
-    /// Applies the softmax-grad transform at *logical* `A` coordinates
-    /// `(row, col)` — the coordinates of the `m x k` operand the GEMM
-    /// multiplies, regardless of which gather packed it.
-    #[inline]
-    fn softmax(&self, x: f32, row: usize, col: usize) -> f32 {
-        match self.softmax_grad {
-            Some(sg) => sg.apply(x, row, col),
-            None => x,
-        }
-    }
 }
 
 // SAFETY: `emit` points at a `SendPtr` owned by the submitting `gemm` call,
 // which outlives the packing job; the target regions written through it are
 // pairwise disjoint per strip.
-unsafe impl Send for PackFusion<'_> {}
+unsafe impl Send for PackFusion {}
 // SAFETY: same argument as `Send` above — shared references only read the
 // configuration fields; all writes through `emit` target disjoint strips.
-unsafe impl Sync for PackFusion<'_> {}
+unsafe impl Sync for PackFusion {}
 
 /// Packs one `MR`-row strip of a row-major `m x k` matrix, folding `alpha`
-/// and applying the pack fusion (dropout in source coordinates, then the
-/// softmax-grad transform in logical coordinates, then optional emission
-/// of the post-transform value at the source element's offset).
+/// and applying the pack fusion (dropout in source coordinates, then
+/// optional emission of the post-dropout value at the source element's
+/// offset).
 fn pack_a_strip_rowmajor_fused(
     av: &[f32],
     m: usize,
     k: usize,
     alpha: f32,
     i0: usize,
-    fusion: PackFusion<'_>,
+    fusion: PackFusion,
     out: &mut [f32],
 ) {
     let emit = fusion.emit_ptr();
@@ -345,7 +323,6 @@ fn pack_a_strip_rowmajor_fused(
                     Some(spec) => v * spec.mask_value(row, kk, k),
                     None => v,
                 };
-                let x = fusion.softmax(x, row, kk);
                 if let Some(e) = emit {
                     // SAFETY: offset `row*k + kk` is in-bounds of the
                     // emit buffer (length == av.len() == m*k) and owned by
@@ -362,6 +339,53 @@ fn pack_a_strip_rowmajor_fused(
     }
 }
 
+/// Packs one `MR`-row strip of a row-major `m x k` logits matrix through
+/// the softmax-grad transform, folding `alpha` (`m = sg.lse.len()`).
+///
+/// The strip advances one [`EXP_BLOCK`]-column block at a time: each live
+/// row's segment goes through [`crate::loss::softmax_grad_row`] into its
+/// own stack buffer (vectorized exps on `path`, the target column fixed
+/// up once), and the `MR` buffers are then interleaved into the strip's
+/// `kk`-major layout. Rows past `m` stay zero in their buffers. No heap
+/// allocation and no per-element table lookup.
+fn pack_a_strip_softmax_grad(
+    path: SimdPath,
+    av: &[f32],
+    k: usize,
+    alpha: f32,
+    i0: usize,
+    sg: SoftmaxGradSpec<'_>,
+    out: &mut [f32],
+) {
+    let rows = sg.lse.len().saturating_sub(i0).min(MR);
+    let mut buf = [[0.0f32; EXP_BLOCK]; MR];
+    let mut kb = 0;
+    while kb < k {
+        let w = EXP_BLOCK.min(k - kb);
+        for (r, seg) in buf.iter_mut().enumerate().take(rows) {
+            let row = i0 + r;
+            let target = (sg.targets[row] as usize)
+                .checked_sub(kb)
+                .filter(|&t| t < w);
+            crate::loss::softmax_grad_row(
+                path,
+                &av[row * k + kb..row * k + kb + w],
+                sg.lse[row],
+                target,
+                sg.scale,
+                alpha,
+                &mut seg[..w],
+            );
+        }
+        for (kk, dst) in out[kb * MR..(kb + w) * MR].chunks_exact_mut(MR).enumerate() {
+            for (d, seg) in dst.iter_mut().zip(&buf) {
+                *d = seg[kk];
+            }
+        }
+        kb += w;
+    }
+}
+
 /// Packs one `MR`-row strip of a row-major `m x k` matrix, folding `alpha`
 /// (prologue-free path; the fuzz and packing tests compare against it).
 #[cfg(test)]
@@ -371,15 +395,14 @@ fn pack_a_strip_rowmajor(av: &[f32], m: usize, k: usize, alpha: f32, i0: usize, 
 
 /// Packs one `MR`-row strip of the *transpose* of a row-major `k x m`
 /// matrix (the `TN` left operand), folding `alpha` and the pack fusion.
-/// Dropout and emission use the source's own `(kk, col)` coordinates;
-/// the softmax-grad transform uses the *logical* (transposed) ones.
+/// Dropout and emission use the source's own `(kk, col)` coordinates.
 fn pack_a_strip_transposed_fused(
     av: &[f32],
     m: usize,
     k: usize,
     alpha: f32,
     i0: usize,
-    fusion: PackFusion<'_>,
+    fusion: PackFusion,
     out: &mut [f32],
 ) {
     let emit = fusion.emit_ptr();
@@ -396,7 +419,6 @@ fn pack_a_strip_transposed_fused(
                 Some(spec) => src[i0 + r] * spec.mask_value(kk, i0 + r, m),
                 None => src[i0 + r],
             };
-            let x = fusion.softmax(x, i0 + r, kk);
             if let Some(e) = emit {
                 // SAFETY: offset `kk*m + i0 + r` is in-bounds of the emit
                 // buffer (length == av.len() == k*m) and owned by this
@@ -787,15 +809,25 @@ pub(crate) fn gemm(
     let emit_holder = prologue.emit.map(|e| SendPtr(e.as_mut_ptr()));
     let fusion = PackFusion {
         dropout: prologue.dropout,
-        softmax_grad: prologue.softmax_grad,
         emit: emit_holder.as_ref().map(|h| h as *const SendPtr),
     };
+    debug_assert!(
+        prologue.softmax_grad.is_none() || (layout != Layout::Tn && fusion.emit.is_none()),
+        "softmax-grad packs only a row-major A, without emit"
+    );
 
-    match layout {
-        Layout::Nn | Layout::Nt => pack_parallel(pool, &mut apack, a_strips, k * MR, &|s, out| {
-            pack_a_strip_rowmajor_fused(av, m, k, alpha, s * MR, fusion, out);
-        }),
-        Layout::Tn => pack_parallel(pool, &mut apack, a_strips, k * MR, &|s, out| {
+    match (layout, prologue.softmax_grad) {
+        (Layout::Nn | Layout::Nt, Some(sg)) => {
+            pack_parallel(pool, &mut apack, a_strips, k * MR, &|s, out| {
+                pack_a_strip_softmax_grad(path, av, k, alpha, s * MR, sg, out);
+            })
+        }
+        (Layout::Nn | Layout::Nt, None) => {
+            pack_parallel(pool, &mut apack, a_strips, k * MR, &|s, out| {
+                pack_a_strip_rowmajor_fused(av, m, k, alpha, s * MR, fusion, out);
+            })
+        }
+        (Layout::Tn, _) => pack_parallel(pool, &mut apack, a_strips, k * MR, &|s, out| {
             pack_a_strip_transposed_fused(av, m, k, alpha, s * MR, fusion, out);
         }),
     }
@@ -924,7 +956,6 @@ mod tests {
         let holder = SendPtr(emit.as_mut_ptr());
         let fusion = PackFusion {
             dropout: Some(spec),
-            softmax_grad: None,
             emit: Some(&holder as *const SendPtr),
         };
         for s in 0..m.div_ceil(MR) {
@@ -951,7 +982,6 @@ mod tests {
         let holder_t = SendPtr(emit_t.as_mut_ptr());
         let fusion_t = PackFusion {
             dropout: Some(spec),
-            softmax_grad: None,
             emit: Some(&holder_t as *const SendPtr),
         };
         for s in 0..tm.div_ceil(MR) {

@@ -30,7 +30,29 @@
 //! The bitwise-vs-fallback contract — `LORAFUSION_SIMD=0` and the default
 //! produce identical bits on any given host — is asserted by the fuzz
 //! matrix in `crates/tensor/tests/gemm_fuzz.rs` and by the dual-path
-//! digest gate in `scripts/ci.sh`.
+//! digest gates in `scripts/ci.sh` (`bench_gemm` and `bench_loss`).
+//!
+//! # The in-tree `exp`: one definition, two spellings
+//!
+//! The loss kernels' exponentials do not call libm. [`exp`] is one fixed
+//! definition — Cody-Waite range reduction `x = n·ln 2 + r` with `ln 2`
+//! split into an exact high part and a low correction, the degree-6 Cephes
+//! `expf` polynomial on `r`, and an exact two-step `2^n` scaling — written
+//! with plain multiplies and adds only (no FMA, whose availability differs
+//! between hosts). It is therefore the same function on every host, and it
+//! has two spellings: an 8-lane AVX2 kernel and the scalar twin [`exp`],
+//! bitwise-equal lane for lane. [`exp_shifted_on_path`] dispatches like
+//! the GEMM microkernel (AVX2 on [`SimdPath::Avx2Fma`], the twin
+//! otherwise), so `LORAFUSION_SIMD=0` moves the loss head between
+//! spellings without changing a bit.
+//!
+//! Accuracy: on every input whose exponential is a normal `f32`
+//! (`[EXP_MIN_INPUT, EXP_MAX_INPUT]`, about 2.2·10⁹ values) the result is
+//! within 1 ulp of the correctly rounded value — libm's `expf` bound — and
+//! about 0.8% of those inputs are not correctly rounded. Below
+//! [`EXP_MIN_INPUT`] the result flushes to `+0` instead of a subnormal;
+//! above [`EXP_MAX_INPUT`] it is `+inf`; NaN comes back unchanged. The
+//! exhaustive check is an `#[ignore]`d test that `scripts/ci.sh` runs.
 
 use std::sync::OnceLock;
 
@@ -159,6 +181,97 @@ pub fn prefetch_read(p: *const f32) {
     let _ = p;
 }
 
+/// Smallest input whose [`exp`] is a normal `f32` (`≈ ln f32::MIN_POSITIVE`);
+/// anything below flushes to `+0`.
+pub const EXP_MIN_INPUT: f32 = -87.33654;
+/// Largest input whose [`exp`] is finite (`≈ ln f32::MAX`); anything above
+/// is `+inf`.
+pub const EXP_MAX_INPUT: f32 = 88.72283;
+
+/// `ln 2 = EXP_LN2_HI + EXP_LN2_LO`, Cody-Waite split: the high part
+/// (`0.693359375`) has 9 significant bits, so `n * EXP_LN2_HI` is exact
+/// for every `|n| <= 128`.
+const EXP_LN2_HI: f32 = 355.0 / 512.0;
+const EXP_LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes `expf` polynomial, highest degree first:
+/// `e^r ≈ 1 + r + r²·P(r)` on `|r| <= ln 2 / 2`.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_6e-1,
+    0.5,
+];
+
+/// The scalar spelling of the in-tree exponential (see the module docs).
+///
+/// Every step is a plain `f32` multiply, add, `floor` or exact bit
+/// construction, in the same order as the AVX2 lane code, so the two
+/// spellings agree bit for bit on every input.
+#[inline]
+pub fn exp(x: f32) -> f32 {
+    if x.is_nan() {
+        return x;
+    }
+    if x < EXP_MIN_INPUT {
+        return 0.0;
+    }
+    if x > EXP_MAX_INPUT {
+        return f32::INFINITY;
+    }
+    let z = (x * std::f32::consts::LOG2_E + 0.5).floor();
+    let r = x - z * EXP_LN2_HI;
+    let r = r - z * EXP_LN2_LO;
+    let r2 = r * r;
+    let mut p = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        p = p * r + c;
+    }
+    let y = p * r2 + r + 1.0;
+    // `n` lies in [-126, 128], so `2^n` is applied as two exact normal
+    // factors `2^(n >> 1)` and `2^(n - (n >> 1))`; only the last multiply
+    // can round, exactly once.
+    let n = z as i32;
+    let n1 = n >> 1;
+    (y * pow2(n1)) * pow2(n - n1)
+}
+
+/// `2^n` for `n` in `[-126, 127]`, built from its exponent bits.
+#[inline]
+fn pow2(n: i32) -> f32 {
+    f32::from_bits(((n + 127) as u32) << 23)
+}
+
+/// `dst[i] = exp(src[i] - shift)` over `min(src.len(), dst.len())`
+/// elements with an explicit spelling: the AVX2 kernel on
+/// [`SimdPath::Avx2Fma`], the scalar twin [`exp`] otherwise. Both give the
+/// same bits; tests use this to run both inside one process. `path` must
+/// be supported on this host ([`SimdPath::is_supported`]).
+#[inline]
+pub fn exp_shifted_on_path(path: SimdPath, src: &[f32], shift: f32, dst: &mut [f32]) {
+    match path {
+        SimdPath::Avx2Fma => {
+            assert!(
+                fma_semantics(),
+                "SimdPath::Avx2Fma dispatched on a host without AVX2+FMA"
+            );
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2 availability was just verified via the cached
+            // runtime detection, and the kernel bounds every access by
+            // `min(src.len(), dst.len())`.
+            unsafe {
+                avx2::exp_shifted(src, shift, dst);
+            }
+        }
+        SimdPath::ScalarFma | SimdPath::Scalar => {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = exp(v - shift);
+            }
+        }
+    }
+}
+
 /// Runs the explicit AVX2+FMA microkernel: accumulates the full packed
 /// reduction of `apanel` (`k x MR`) against `bpanel` (`k x NR`) into
 /// `acc`, in strictly ascending `kk` order with one correctly-rounded
@@ -188,7 +301,11 @@ pub(crate) fn microkernel_avx2(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; 
 mod avx2 {
     use super::{MR, NR};
     use core::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps,
+        __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_blendv_ps, _mm256_castsi256_ps,
+        _mm256_cmp_ps, _mm256_cvttps_epi32, _mm256_floor_ps, _mm256_fmadd_ps, _mm256_loadu_ps,
+        _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_slli_epi32, _mm256_srai_epi32, _mm256_storeu_ps,
+        _mm256_sub_epi32, _mm256_sub_ps, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_UNORD_Q,
     };
 
     /// The 6x16 AVX2+FMA register tile: 12 accumulator vectors (6 rows x
@@ -275,6 +392,67 @@ mod avx2 {
             _mm256_storeu_ps(row.as_mut_ptr().add(8), ci[1]);
         }
     }
+
+    /// `dst[i] = exp(src[i] - shift)`, eight lanes at a time; the ragged
+    /// tail goes through the scalar twin, which gives the same bits.
+    ///
+    /// # Safety
+    ///
+    /// Caller must guarantee AVX2 is available on the executing CPU. All
+    /// memory access is bounded by `min(src.len(), dst.len())`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn exp_shifted(src: &[f32], shift: f32, dst: &mut [f32]) {
+        let len = src.len().min(dst.len());
+        let s = _mm256_set1_ps(shift);
+        let mut i = 0;
+        while i + 8 <= len {
+            let x = _mm256_sub_ps(_mm256_loadu_ps(src.as_ptr().add(i)), s);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), exp8(x));
+            i += 8;
+        }
+        for (d, &v) in dst[i..len].iter_mut().zip(&src[i..len]) {
+            *d = super::exp(v - shift);
+        }
+    }
+
+    /// Eight lanes of [`super::exp`]: the same operations in the same
+    /// order, with the special cases blended in at the end instead of
+    /// returned early (the main path runs on the clamped input, which
+    /// equals the input wherever its result is kept).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn exp8(x: __m256) -> __m256 {
+        let lo = _mm256_set1_ps(super::EXP_MIN_INPUT);
+        let hi = _mm256_set1_ps(super::EXP_MAX_INPUT);
+        let xc = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
+        let z = _mm256_floor_ps(_mm256_add_ps(
+            _mm256_mul_ps(xc, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+            _mm256_set1_ps(0.5),
+        ));
+        let r = _mm256_sub_ps(xc, _mm256_mul_ps(z, _mm256_set1_ps(super::EXP_LN2_HI)));
+        let r = _mm256_sub_ps(r, _mm256_mul_ps(z, _mm256_set1_ps(super::EXP_LN2_LO)));
+        let r2 = _mm256_mul_ps(r, r);
+        let mut p = _mm256_set1_ps(super::EXP_POLY[0]);
+        for &c in &super::EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, r2), r), _mm256_set1_ps(1.0));
+        // 2^n as two exact factors, as in the twin.
+        let n = _mm256_cvttps_epi32(z);
+        let n1 = _mm256_srai_epi32::<1>(n);
+        let n2 = _mm256_sub_epi32(n, n1);
+        let bias = _mm256_set1_epi32(127);
+        let s1 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(n1, bias)));
+        let s2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(n2, bias)));
+        let y = _mm256_mul_ps(_mm256_mul_ps(y, s1), s2);
+        let y = _mm256_blendv_ps(y, _mm256_setzero_ps(), _mm256_cmp_ps::<_CMP_LT_OQ>(x, lo));
+        let y = _mm256_blendv_ps(
+            y,
+            _mm256_set1_ps(f32::INFINITY),
+            _mm256_cmp_ps::<_CMP_GT_OQ>(x, hi),
+        );
+        _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+    }
 }
 
 #[cfg(test)]
@@ -312,5 +490,166 @@ mod tests {
         prefetch_read(v.as_ptr());
         prefetch_read(v.as_ptr().wrapping_add(1 << 20));
         prefetch_read(std::ptr::null());
+    }
+
+    /// Every spelling this host can run: the vector one (when detected)
+    /// and both scalar ones.
+    fn exp_paths() -> Vec<SimdPath> {
+        let mut paths = vec![path_for(true), path_for(false), SimdPath::Scalar];
+        paths.dedup();
+        paths
+    }
+
+    /// `f32` one bit pattern above or below `x`.
+    fn step_bits(x: f32, up: bool) -> f32 {
+        f32::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 })
+    }
+
+    /// Distance in representable values between two non-negative floats.
+    fn ulps(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// `exp` through `f64`, rounded once to `f32`.
+    fn exp_ref(x: f32) -> f32 {
+        (x as f64).exp() as f32
+    }
+
+    /// A strided sweep of all 2^32 bit patterns plus the special inputs:
+    /// NaNs, ±inf, ±0, both cut-offs and their neighbours, and inputs
+    /// whose exponential is subnormal. The length is not a multiple of 8,
+    /// so the vector kernel's scalar tail runs too.
+    fn exp_sweep() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..u32::MAX / 4099)
+            .map(|i| f32::from_bits(i * 4099))
+            .collect();
+        for x in [EXP_MIN_INPUT, EXP_MAX_INPUT] {
+            xs.extend([x, step_bits(x, true), step_bits(x, false)]);
+        }
+        xs.extend([
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            -88.0,
+            -95.5,
+            -103.27893,
+            -103.97208,
+            -104.0,
+            88.0,
+            88.5,
+        ]);
+        xs.push(1.0);
+        assert_ne!(xs.len() % 8, 0);
+        xs
+    }
+
+    /// One definition, two spellings: every path this host can run gives
+    /// the scalar twin's bits, with and without a shift.
+    #[test]
+    fn exp_spellings_agree_bitwise() {
+        let xs = exp_sweep();
+        for shift in [0.0f32, 3.25, -90.0] {
+            let want: Vec<u32> = xs.iter().map(|&x| exp(x - shift).to_bits()).collect();
+            for path in exp_paths() {
+                let mut got = vec![f32::NAN; xs.len()];
+                exp_shifted_on_path(path, &xs, shift, &mut got);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g, w, "{path:?} x={:?} shift={shift}", xs[i]);
+                }
+            }
+        }
+    }
+
+    /// Accuracy on the sweep: within 1 ulp of the correctly rounded value
+    /// wherever that value is a normal `f32`, `+0` below the cut-off,
+    /// `+inf` above it, and NaN through. The cut-offs are the exact
+    /// boundaries of the normal range.
+    #[test]
+    fn exp_is_within_one_ulp_on_the_sweep() {
+        assert!(exp_ref(EXP_MIN_INPUT) >= f32::MIN_POSITIVE);
+        assert!(exp_ref(step_bits(EXP_MIN_INPUT, true)) < f32::MIN_POSITIVE);
+        assert!(exp_ref(EXP_MAX_INPUT).is_finite());
+        assert!(exp_ref(step_bits(EXP_MAX_INPUT, true)).is_infinite());
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        for x in exp_sweep() {
+            let got = exp(x);
+            if x.is_nan() {
+                assert!(got.is_nan(), "NaN in, {got} out");
+            } else if x < EXP_MIN_INPUT {
+                assert_eq!(got.to_bits(), 0, "x={x:?} must flush to +0");
+            } else if x > EXP_MAX_INPUT {
+                assert_eq!(got, f32::INFINITY, "x={x:?}");
+            } else {
+                let want = exp_ref(x);
+                assert!(ulps(got, want) <= 1, "x={x:?}: {got:?} vs {want:?}");
+            }
+        }
+    }
+
+    /// Exhaustive form of the accuracy check over every `f32` whose
+    /// exponential is a normal `f32` (~2.2·10⁹ inputs, about 1.5–2 min
+    /// on one core in release), with the vector spelling compared bit for
+    /// bit along the way. Run by `scripts/ci.sh`:
+    /// `cargo test --release -p lorafusion-tensor --lib exhaustive -- --ignored`.
+    #[test]
+    #[ignore]
+    fn exp_is_within_one_ulp_exhaustively() {
+        const BLOCK: u32 = 1 << 14;
+        let paths = exp_paths();
+        let mut xs = vec![0.0f32; BLOCK as usize];
+        let mut got = vec![0.0f32; BLOCK as usize];
+        let (mut total, mut inexact, mut worst) = (0u64, 0u64, 0u32);
+        // Non-negative inputs up to the overflow cut-off, then negative
+        // ones (bit patterns grow with magnitude) down to the flush one.
+        for (first, last) in [
+            (0u32, EXP_MAX_INPUT.to_bits()),
+            ((-0.0f32).to_bits(), EXP_MIN_INPUT.to_bits()),
+        ] {
+            let mut lo = first;
+            loop {
+                let hi = last.min(lo.saturating_add(BLOCK - 1));
+                let n = (hi - lo + 1) as usize;
+                for (slot, b) in xs.iter_mut().zip(lo..=hi) {
+                    *slot = f32::from_bits(b);
+                }
+                let want: Vec<f32> = xs[..n].iter().map(|&x| exp(x)).collect();
+                for &path in &paths {
+                    exp_shifted_on_path(path, &xs[..n], 0.0, &mut got[..n]);
+                    assert!(
+                        got[..n]
+                            .iter()
+                            .zip(&want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits()),
+                        "{path:?} differs from the twin in [{lo:#x}, {hi:#x}]"
+                    );
+                }
+                for (&x, &w) in xs[..n].iter().zip(&want) {
+                    let d = ulps(w, exp_ref(x));
+                    assert!(d <= 1, "x={x:?}: {w:?} is {d} ulps off");
+                    worst = worst.max(d);
+                    inexact += u64::from(d != 0);
+                }
+                total += n as u64;
+                if hi == last {
+                    break;
+                }
+                lo = hi + 1;
+            }
+        }
+        println!(
+            "exp: {total} inputs, worst {worst} ulp, {:.3}% not correctly rounded",
+            100.0 * inexact as f64 / total as f64
+        );
+        assert!(total > 2_000_000_000);
     }
 }

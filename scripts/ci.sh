@@ -59,6 +59,16 @@ cargo test -q
 step "cargo test --workspace"
 cargo test -q --workspace
 
+# Exhaustive accuracy gate for the in-tree `exp` (tensor::simd): every
+# f32 whose exponential is a normal f32 (~2.2e9 inputs) must come out
+# within 1 ulp of the correctly rounded value, and the AVX2 spelling must
+# match the scalar twin bit for bit on all of them. ~1.5 min on one core
+# in release, so only the full path runs it.
+if [[ "$QUICK" -eq 0 ]]; then
+  step "exhaustive exp accuracy + dual-spelling sweep"
+  cargo test --release -q -p lorafusion-tensor --lib exp_is_within_one_ulp_exhaustively -- --ignored
+fi
+
 # Fast determinism-and-sanity gate: bench_gemm asserts in-binary that every
 # (layout, shape, threads) cell is bitwise-equal to its serial run, so a
 # packing or tiling regression fails CI here rather than only in the
@@ -150,6 +160,25 @@ else
     --require-counter chains.fused_calls \
     --require-histogram loss.chunk.tokens
 fi
+
+# Dual-path loss gate: the loss head's exps run through the in-tree
+# `exp`, whose AVX2 and scalar spellings must agree bit for bit. The
+# digest mode writes FNV-1a digests of every run's lse, loss, dx and mean
+# bits; run it with SIMD forced off and under the default dispatch, then
+# diff the two files, as for bench_gemm above.
+step "bench_loss dual-path SIMD gate (96x64x512)"
+if [[ "$QUICK" -eq 0 ]]; then
+  LORAFUSION_SIMD=0 BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
+    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_fallback.txt" cargo run --release -q -p lorafusion-bench --bin bench_loss
+  BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
+    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_default.txt" cargo run --release -q -p lorafusion-bench --bin bench_loss
+else
+  LORAFUSION_SIMD=0 BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
+    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_fallback.txt" cargo run -q -p lorafusion-bench --bin bench_loss
+  BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
+    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_default.txt" cargo run -q -p lorafusion-bench --bin bench_loss
+fi
+diff "$DIGEST_TMP/loss_fallback.txt" "$DIGEST_TMP/loss_default.txt"
 
 # Online-scheduler gate: bench_scheduler asserts in-binary that a full
 # event-stream replay is digest-identical run to run and that the final
