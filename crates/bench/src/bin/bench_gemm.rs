@@ -28,14 +28,18 @@
 //! an FNV-1a digest and written to `<path>`, one line per cell. The file
 //! is a pure function of the computed bits, so `scripts/ci.sh` runs it
 //! under `LORAFUSION_SIMD=0` and under the default and diffs the two —
-//! the bitwise dual-path gate.
+//! the bitwise dual-path gate. The same mode also reruns every cell on
+//! every spelling of `simd::supported_paths` in process and panics on any
+//! bit difference from the active path, which is the only gate that runs
+//! the AVX2 kernel on an AVX-512 host (the env override reaches only the
+//! widest and the scalar spelling).
 
 use std::time::Instant;
 
 use lorafusion_bench::{fmt, fnv1a, print_table, report, write_json};
-use lorafusion_tensor::matmul::{gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate};
-use lorafusion_tensor::microkernel::Layout;
+use lorafusion_tensor::matmul::{gemm_fused_on_path, Epilogue, Layout, Prologue};
 use lorafusion_tensor::pool::Pool;
+use lorafusion_tensor::simd::{self, SimdPath};
 use lorafusion_tensor::{Matrix, Pcg32};
 
 struct Row {
@@ -80,13 +84,34 @@ fn operands(layout: Layout, m: usize, k: usize, n: usize, rng: &mut Pcg32) -> (M
     )
 }
 
-fn run_once(layout: Layout, pool: &Pool, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    match layout {
-        Layout::Nn => gemm_nn_on(pool, 1.0, a, b, c, Accumulate::Overwrite),
-        Layout::Nt => gemm_nt_on(pool, 1.0, a, b, c, Accumulate::Overwrite),
-        Layout::Tn => gemm_tn_on(pool, 1.0, a, b, c, Accumulate::Overwrite),
-    }
+/// `C = A (x) B` on `path`: the overwrite GEMM every cell measures.
+fn run_once(path: SimdPath, layout: Layout, pool: &Pool, a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    gemm_fused_on_path(
+        pool,
+        path,
+        layout,
+        1.0,
+        a,
+        b,
+        c,
+        Prologue::none(),
+        Epilogue::Overwrite,
+    )
     .unwrap();
+}
+
+/// The output bits of `C = A (x) B` on `path`.
+fn output_bits(
+    path: SimdPath,
+    layout: Layout,
+    pool: &Pool,
+    a: &Matrix,
+    b: &Matrix,
+    (m, n): (usize, usize),
+) -> Vec<u32> {
+    let mut c = Matrix::zeros(m, n);
+    run_once(path, layout, pool, a, b, &mut c);
+    c.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// One untimed warm-up (whose output feeds the bitwise check), then `reps`
@@ -100,13 +125,13 @@ fn time_config(
     n: usize,
     reps: usize,
 ) -> (f64, Vec<u32>) {
+    let path = simd::active_path();
+    let bits = output_bits(path, layout, pool, a, b, (m, n));
     let mut c = Matrix::zeros(m, n);
-    run_once(layout, pool, a, b, &mut c);
-    let bits: Vec<u32> = c.as_slice().iter().map(|v| v.to_bits()).collect();
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let start = Instant::now();
-            run_once(layout, pool, a, b, &mut c);
+            run_once(path, layout, pool, a, b, &mut c);
             start.elapsed().as_secs_f64()
         })
         .collect();
@@ -179,12 +204,11 @@ fn main() {
             if digest_path.is_some() {
                 // Timing-free determinism mode: one run per cell, reduced
                 // to a digest that depends only on the output bits (never
-                // on timing or on the active path's name).
+                // on timing or on the active path's name), plus one run
+                // per supported spelling that must give the same bits.
                 let mut serial_bits: Vec<u32> = Vec::new();
                 for (pool, &threads) in pools.iter().zip(&sweep) {
-                    let mut c = Matrix::zeros(m, n);
-                    run_once(layout, pool, &a, &b, &mut c);
-                    let bits: Vec<u32> = c.as_slice().iter().map(|v| v.to_bits()).collect();
+                    let bits = output_bits(simd::active_path(), layout, pool, &a, &b, (m, n));
                     if threads == 1 {
                         serial_bits = bits.clone();
                     }
@@ -193,6 +217,14 @@ fn main() {
                         "parallel GEMM diverged from serial output at {} {m}x{k}x{n} t={threads}",
                         layout.tag()
                     );
+                    for &path in simd::supported_paths() {
+                        assert!(
+                            output_bits(path, layout, pool, &a, &b, (m, n)) == bits,
+                            "the {} spelling diverged from the active path at {} {m}x{k}x{n} t={threads}",
+                            path.tag(),
+                            layout.tag()
+                        );
+                    }
                     digest_lines.push(format!(
                         "{} {m}x{k}x{n} t={threads} {:016x}",
                         layout.tag(),
@@ -228,9 +260,12 @@ fn main() {
     if let Some(path) = digest_path {
         let body = digest_lines.join("\n") + "\n";
         std::fs::write(&path, body).expect("failed to write digest file");
+        let spellings: Vec<&str> = simd::supported_paths().iter().map(|p| p.tag()).collect();
         println!(
-            "(BENCH_GEMM_DIGEST: wrote {} cell digests to {path}; path={simd_path})",
-            digest_lines.len()
+            "(BENCH_GEMM_DIGEST: wrote {} cell digests to {path}; path={simd_path}; \
+             bitwise-equal on {})",
+            digest_lines.len(),
+            spellings.join(", ")
         );
         return;
     }

@@ -16,7 +16,8 @@ pub struct HostInfo {
     /// `pool::host_parallelism()` — available cores, not configured
     /// threads.
     pub host_cores: usize,
-    /// CPUID-detected feature summary (e.g. `avx2+fma`, `scalar`).
+    /// CPUID-detected feature summary (`avx512+fma`, `avx2+fma` or
+    /// `none`).
     pub detected_features: String,
     /// The SIMD dispatch path actually active for this process.
     pub simd_path: String,

@@ -39,7 +39,8 @@
 //!   [`crate::simd::exp`]: Cody-Waite reduction plus the Cephes `expf`
 //!   polynomial in plain multiply/add, within 1 ulp of the correctly
 //!   rounded value, flushed to `+0` below the smallest normal result. It
-//!   has one definition and two spellings (8-lane AVX2 and a scalar twin)
+//!   has one definition and two spellings (8-lane AVX2, also taken on the
+//!   AVX-512 path, and a scalar twin)
 //!   that agree bit for bit, so [`row_sum_exp`] and [`softmax_grad_row`]
 //!   vectorize their exps in 64-element blocks without the spelling, the
 //!   block boundaries, or `LORAFUSION_SIMD` reaching a result bit. The
@@ -230,9 +231,7 @@ mod tests {
         let row = random_row(2 * EXP_BLOCK + 13, 31);
         let max = row_max(&row);
         let lse = log_sum_exp(max, row_sum_exp(&row, max));
-        let mut paths = vec![simd::path_for(true), simd::path_for(false)];
-        paths.dedup();
-        for path in paths {
+        for &path in simd::supported_paths() {
             for (col0, len) in [(0usize, row.len()), (7, EXP_BLOCK), (100, 3)] {
                 let seg = &row[col0..col0 + len];
                 for target in [0usize, col0, col0 + len - 1, row.len() - 1] {

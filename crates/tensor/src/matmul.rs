@@ -86,17 +86,20 @@ fn gemm_trace(layout: Layout, m: usize, k: usize, n: usize) -> SpanGuard {
 }
 
 /// Bumps the per-path dispatch counters so traces show which microkernel
-/// spelling actually ran: `gemm.simd_dispatch.avx2` for the explicit
-/// vector kernel, `gemm.simd_dispatch.fallback` for either scalar twin.
+/// spelling actually ran: `gemm.simd_dispatch.avx512` for the paired-strip
+/// AVX-512 kernel, `gemm.simd_dispatch.avx2` for the AVX2 kernel,
+/// `gemm.simd_dispatch.fallback` for either scalar twin.
 fn count_dispatch(path: SimdPath) {
-    static METRICS: std::sync::OnceLock<(Counter, Counter)> = std::sync::OnceLock::new();
-    let (avx2, fallback) = METRICS.get_or_init(|| {
-        (
+    static METRICS: std::sync::OnceLock<[Counter; 3]> = std::sync::OnceLock::new();
+    let [avx512, avx2, fallback] = METRICS.get_or_init(|| {
+        [
+            counter("gemm.simd_dispatch.avx512"),
             counter("gemm.simd_dispatch.avx2"),
             counter("gemm.simd_dispatch.fallback"),
-        )
+        ]
     });
     match path {
+        SimdPath::Avx512 => avx512.incr(),
         SimdPath::Avx2Fma => avx2.incr(),
         SimdPath::ScalarFma | SimdPath::Scalar => fallback.incr(),
     }
@@ -249,8 +252,8 @@ pub fn gemm_fused_on(
 /// [`gemm_fused_on`] with an explicit microkernel spelling instead of the
 /// process-wide [`simd::active_path`]. `path` must be supported on this
 /// host ([`SimdPath::is_supported`]); tests and the dual-path bench gate
-/// use this to run both spellings inside one process, where flipping the
-/// `LORAFUSION_SIMD` env var is unreliable.
+/// use this to run every [`simd::supported_paths`] spelling inside one
+/// process, where flipping the `LORAFUSION_SIMD` env var is unreliable.
 #[allow(clippy::too_many_arguments)] // the full fused-GEMM surface
 pub fn gemm_fused_on_path(
     pool: &Pool,
@@ -752,8 +755,8 @@ mod tests {
     /// The softmax-grad prologue must pack exactly what the per-element
     /// definition computes on the materialized operand, in both row-major
     /// layouts (`NN`, and `NT` as the loss head runs it), across partial
-    /// row blocks and an edge strip, on both SIMD spellings, at 1 and 3
-    /// threads.
+    /// row blocks and an edge strip, on every supported SIMD spelling, at
+    /// 1 and 3 threads.
     #[test]
     fn softmax_grad_prologue_matches_materialized_transform() {
         let (m, v, h) = (MR + 3, crate::loss::EXP_BLOCK + 37, 11);
@@ -791,11 +794,9 @@ mod tests {
             targets: &targets,
             scale,
         };
-        let mut paths = vec![simd::path_for(true), simd::path_for(false)];
-        paths.dedup();
         for threads in [1usize, 3] {
             let pool = Pool::new(threads);
-            for &path in &paths {
+            for &path in simd::supported_paths() {
                 for (layout, b) in [(Layout::Nn, &w), (Layout::Nt, &w_t)] {
                     let mut got = Matrix::zeros(m, h);
                     gemm_fused_on_path(

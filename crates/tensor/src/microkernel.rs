@@ -22,11 +22,13 @@
 //!    registers in strictly ascending `kk` order, one [`KC`]-length block
 //!    of the reduction per invocation; between blocks the tile parks in an
 //!    exact `f32` stack buffer (see [`KC`] for why this cannot change a
-//!    bit). The kernel has three spellings selected by [`SimdPath`]: an
-//!    explicit AVX2+FMA kernel (confined to `crate::simd`), a scalar
-//!    `mul_add` twin that matches it bit for bit, and the historical
+//!    bit). The kernel has four spellings selected by [`SimdPath`]: an
+//!    explicit AVX-512 kernel that runs two adjacent `B` strips as one
+//!    `MR x 2·NR` tile and an explicit AVX2+FMA kernel (both confined to
+//!    `crate::simd`), a scalar `mul_add` twin that matches them bit for
+//!    bit — three spellings of one rounding behaviour — and the historical
 //!    auto-vectorized mul-then-add kernel for non-FMA hosts. One
-//!    invocation owns its output tile exclusively. When the tile is
+//!    invocation owns its output tiles exclusively. When a tile is
 //!    complete it is stored exactly once, through an [`Epilogue`] applied
 //!    while the values are still in registers: overwrite, accumulate,
 //!    scale-by-alpha, or accumulate-through-a-dropout-mask. This is what
@@ -82,15 +84,21 @@ use crate::simd::{self, SimdPath};
 /// broadcasts + 2 `B` loads) — the FMA ports saturate before the load
 /// ports do. The earlier 8x8 shape was the opposite (9 load uops per 8
 /// FMAs, load-port-bound at ~89% of FMA peak); 8x16 and 12x8 spill
-/// registers and collapse entirely.
+/// registers and collapse entirely. The AVX-512 spelling keeps the same
+/// ratio at twice the width by pairing two `NR` strips: 6 rows x two
+/// 16-lane columns is again 12 accumulators, 2 `B` loads and 6
+/// broadcasts per step.
 pub const MR: usize = 6;
-/// Microkernel tile columns: the vector lane dimension — two 8-lane AVX2
-/// vectors per row (and two auto-vectorized lanes-of-8 in the scalar
-/// spellings).
+/// Microkernel tile columns: the packed `B` strip width — two 8-lane AVX2
+/// vectors per row, exactly one 16-lane AVX-512 vector (the AVX-512
+/// spelling reads two strips side by side), and two auto-vectorized
+/// lanes-of-8 in the scalar spellings.
 pub const NR: usize = 16;
-/// Cache-blocking length of the `k` loop inside a macro-tile: the panels
-/// the microkernel streams per invocation are `KC x MR` / `KC x NR`
-/// windows (12 KiB / 32 KiB — together under a 48 KiB L1d), so one
+/// Cache-blocking length of the `k` loop inside a macro-tile. The AVX-512
+/// spelling streams one `KC x MR` `A` window (6 KiB) against a pair of
+/// `KC x NR` `B` windows (2 x 16 KiB) per invocation — 38 KiB, under a
+/// 48 KiB L1d — and the AVX2 and scalar spellings stream half the `B`
+/// bytes. At `KC = 512` the pair alone (64 KiB) would spill L1. One
 /// `i`/`j` sweep's working set — the `A` block, the `B` block, and the
 /// macro-tile's accumulator buffer — stays L2-resident instead of
 /// streaming full-`k` strips per tile. `KC` is
@@ -99,7 +107,7 @@ pub const NR: usize = 16;
 /// exact, so the per-element reduction is still one ascending-`k` chain
 /// regardless of `k` — bitwise-equal to the unblocked loop at every `k`,
 /// which the fuzz suite asserts.
-pub const KC: usize = 512;
+pub const KC: usize = 256;
 /// Macro-tile rows (`i`-block). Must be a multiple of [`MR`] so packed row
 /// strips never straddle two macro-tiles.
 pub const MC: usize = 120;
@@ -572,13 +580,14 @@ fn microkernel_fma(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Runs the microkernel spelling selected by `path` (see
-/// [`crate::simd`] for how paths are resolved; all three spellings share
-/// the ascending-`kk` per-element reduction order).
+/// Runs the single-strip microkernel spelling selected by `path` (see
+/// [`crate::simd`] for how paths are resolved; all spellings share the
+/// ascending-`kk` per-element reduction order). [`SimdPath::Avx512`]
+/// reaches this only for an unpaired strip, which runs the AVX2 kernel.
 #[inline]
 fn run_microkernel(path: SimdPath, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
     match path {
-        SimdPath::Avx2Fma => simd::microkernel_avx2(apanel, bpanel, acc),
+        SimdPath::Avx512 | SimdPath::Avx2Fma => simd::microkernel_avx2(apanel, bpanel, acc),
         SimdPath::ScalarFma => microkernel_fma(apanel, bpanel, acc),
         SimdPath::Scalar => microkernel(apanel, bpanel, acc),
     }
@@ -673,16 +682,19 @@ const ACC_TILES: usize = (MC / MR) * ACC_TILES_J;
 /// Computes one `MC x NC` macro-tile of `C` from the shared packed panels.
 ///
 /// The `k` reduction is blocked by [`KC`]: for each `kb` block the loop
-/// order is `j`-strip → `i`-strip, so the `KC x NR` `B` window (32 KiB)
-/// stays L1-resident across the `i` loop and the whole block working set
-/// (`A` window + `B` window + accumulator buffer, ≤ 512 KiB) stays
-/// L2-resident — instead of streaming two full-`k` strips per tile, which
-/// made large GEMMs bandwidth-bound. Each `MR x NR` tile's accumulator
-/// lives in a stack buffer between blocks; the round-trip is an exact
-/// `f32` copy, so the per-element reduction order (one ascending-`kk`
-/// chain) and therefore every output bit is identical to the unblocked
-/// loop. Tiles are stored exactly once through the epilogue after the
-/// last block.
+/// order is `j`-strip → `i`-strip, so the `KC x NR` `B` window (16 KiB;
+/// a pair of them on the AVX-512 path) stays L1-resident across the `i`
+/// loop and the whole block working set (`A` window + `B` window +
+/// accumulator buffer, 120 + 256 + 120 KiB) stays L2-resident — instead of
+/// streaming two full-`k` strips per tile, which made large GEMMs
+/// bandwidth-bound. On [`SimdPath::Avx512`] `j` steps two strips at a
+/// time through the paired kernel, and an odd last strip runs the AVX2
+/// kernel alone. Each `MR x NR` tile's accumulator lives in a stack
+/// buffer between blocks; the round-trip is an exact `f32` copy, so the
+/// per-element reduction order (one ascending-`kk` chain) and therefore
+/// every output bit is identical to the unblocked loop whichever kernel
+/// ran the tile. Tiles are stored exactly once through the epilogue after
+/// the last block.
 #[allow(clippy::too_many_arguments)] // one argument per tile coordinate
 fn macro_tile(
     path: SimdPath,
@@ -701,18 +713,28 @@ fn macro_tile(
     loop {
         let kend = (kb + KC).min(k);
         let kc = kend - kb;
+        let bwindow = |j0: usize| &bpack[(j0 / NR) * k * NR + kb * NR..][..kc * NR];
         let mut j0 = j_range.start;
         while j0 < j_range.end {
             let tj = (j0 - j_range.start) / NR;
-            let bpanel = &bpack[(j0 / NR) * k * NR + kb * NR..][..kc * NR];
+            let bpanel = bwindow(j0);
+            let paired = path == SimdPath::Avx512 && j0 + NR < j_range.end;
             let mut i0 = i_range.start;
             while i0 < i_range.end {
                 let ti = (i0 - i_range.start) / MR;
                 let apanel = &apack[(i0 / MR) * k * MR + kb * MR..][..kc * MR];
-                run_microkernel(path, apanel, bpanel, &mut accbuf[ti * ACC_TILES_J + tj]);
+                let t = ti * ACC_TILES_J + tj;
+                if paired {
+                    let pair = (&mut accbuf[t..t + 2])
+                        .try_into()
+                        .expect("a two-tile window is two tiles");
+                    simd::microkernel_avx512_pair(apanel, [bpanel, bwindow(j0 + NR)], pair);
+                } else {
+                    run_microkernel(path, apanel, bpanel, &mut accbuf[t]);
+                }
                 i0 += MR;
             }
-            j0 += NR;
+            j0 += if paired { 2 * NR } else { NR };
         }
         kb = kend;
         if kb >= k {
@@ -1002,49 +1024,51 @@ mod tests {
         assert_eq!(emit_t, masked_t.as_slice(), "transposed emit");
     }
 
-    /// The AVX2 kernel and its scalar `mul_add` twin must agree bit for
-    /// bit on the same packed panels — the heart of the dispatch-purity
-    /// contract — and the historical mul-then-add kernel must stay close.
+    /// The vector kernels and their scalar `mul_add` twin must agree bit
+    /// for bit on the same packed panels — the heart of the
+    /// dispatch-purity contract — and the historical mul-then-add kernel
+    /// must stay close. The AVX-512 pair kernel must equal two twin calls,
+    /// one per strip, at reduction lengths around the `KC` block edges.
     #[test]
     fn microkernel_spellings_agree() {
-        let k = 2 * KC + 3;
         let mut rng = crate::rng::Pcg32::seeded(41);
-        let apanel: Vec<f32> = (0..k * MR).map(|_| rng.next_f32() - 0.5).collect();
-        let bpanel: Vec<f32> = (0..k * NR).map(|_| rng.next_f32() - 0.5).collect();
-        let base = {
-            let mut acc = [[0.0f32; NR]; MR];
-            for row in acc.iter_mut() {
-                for v in row.iter_mut() {
-                    *v = rng.next_f32();
-                }
-            }
-            acc
-        };
+        for k in [0, 1, KC - 1, KC, 2 * KC + 3] {
+            let apanel: Vec<f32> = (0..k * MR).map(|_| rng.next_f32() - 0.5).collect();
+            let bpanels: [Vec<f32>; 2] =
+                std::array::from_fn(|_| (0..k * NR).map(|_| rng.next_f32() - 0.5).collect());
+            let base: [[[f32; NR]; MR]; 2] = std::array::from_fn(|_| {
+                std::array::from_fn(|_| std::array::from_fn(|_| rng.next_f32()))
+            });
+            let bits = |t: &[[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
 
-        let mut fma = base;
-        microkernel_fma(&apanel, &bpanel, &mut fma);
-        let mut plain = base;
-        microkernel(&apanel, &bpanel, &mut plain);
-        for i in 0..MR {
-            for j in 0..NR {
-                let (x, y) = (fma[i][j], plain[i][j]);
-                assert!(
-                    (x - y).abs() <= 1e-3 * (1.0 + x.abs().max(y.abs())),
-                    "fma vs plain at ({i},{j}): {x} vs {y}"
-                );
+            let mut fma = base;
+            for (tile, bpanel) in fma.iter_mut().zip(&bpanels) {
+                microkernel_fma(&apanel, bpanel, tile);
             }
-        }
-
-        if simd::fma_semantics() {
-            let mut vector = base;
-            simd::microkernel_avx2(&apanel, &bpanel, &mut vector);
+            let mut plain = base[0];
+            microkernel(&apanel, &bpanels[0], &mut plain);
             for i in 0..MR {
                 for j in 0..NR {
-                    assert_eq!(
-                        vector[i][j].to_bits(),
-                        fma[i][j].to_bits(),
-                        "avx2 vs scalar-fma at ({i},{j})"
+                    let (x, y) = (fma[0][i][j], plain[i][j]);
+                    assert!(
+                        (x - y).abs() <= 1e-3 * (1.0 + x.abs().max(y.abs())),
+                        "fma vs plain at ({i},{j}) k={k}: {x} vs {y}"
                     );
+                }
+            }
+
+            if SimdPath::Avx2Fma.is_supported() {
+                for (s, bpanel) in bpanels.iter().enumerate() {
+                    let mut vector = base[s];
+                    simd::microkernel_avx2(&apanel, bpanel, &mut vector);
+                    assert_eq!(bits(&vector), bits(&fma[s]), "avx2 strip {s} k={k}");
+                }
+            }
+            if SimdPath::Avx512.is_supported() {
+                let mut pair = base;
+                simd::microkernel_avx512_pair(&apanel, [&bpanels[0], &bpanels[1]], &mut pair);
+                for s in 0..2 {
+                    assert_eq!(bits(&pair[s]), bits(&fma[s]), "avx512 strip {s} k={k}");
                 }
             }
         }

@@ -1,5 +1,6 @@
 //! The explicit-SIMD execution tier: runtime CPU-feature detection, the
-//! `LORAFUSION_SIMD` override, and the AVX2+FMA register microkernel.
+//! `LORAFUSION_SIMD` override, and the AVX-512 and AVX2+FMA register
+//! microkernels.
 //!
 //! This is the **only** module in the workspace allowed to touch
 //! `core::arch`, `is_x86_feature_detected!`, or `#[target_feature]` — the
@@ -14,23 +15,47 @@
 //! Two separate things are pure functions of two separate inputs:
 //!
 //! * **Numeric semantics** are a pure function of the *detected CPU
-//!   features only*. On a host with AVX2+FMA every path — the explicit
-//!   AVX2 kernel and the scalar fallback alike — accumulates with a fused
-//!   multiply-add (`f32::mul_add` in the scalar twin, `vfmaddps` in the
-//!   vector kernel; both are correctly rounded, hence bitwise-equal). On a
-//!   host without FMA every path uses the historical mul-then-add kernel.
-//!   The env override can therefore never change a result bit: it moves
-//!   execution between two spellings of the *same* rounding behaviour.
+//!   features only*. On a host with AVX2+FMA every path — the AVX-512
+//!   kernel, the AVX2 kernel and the scalar fallback alike — accumulates
+//!   with a fused multiply-add (`f32::mul_add` in the scalar twin,
+//!   `vfmaddps` on 8 or 16 lanes in the vector kernels; all are correctly
+//!   rounded, hence bitwise-equal). On a host without FMA every path uses
+//!   the historical mul-then-add kernel. The env override can therefore
+//!   never change a result bit: it moves execution between spellings of
+//!   the *same* rounding behaviour.
 //! * **Execution path** is a pure function of `(detected features,
 //!   LORAFUSION_SIMD)`. `LORAFUSION_SIMD=0` forces the scalar spelling,
-//!   anything else (or unset) takes the vector kernel when the features
-//!   are present. Both inputs are read once per process and cached, so
-//!   the path cannot flip mid-run.
+//!   anything else (or unset) takes the widest vector kernel the host
+//!   has: [`SimdPath::Avx512`] with `avx512f`, else
+//!   [`SimdPath::Avx2Fma`]. Both inputs are read once per process and
+//!   cached, so the path cannot flip mid-run. [`supported_paths`] lists
+//!   every spelling of the host's semantics, so tests and the bench gate
+//!   can run each of them in one process.
+//!
+//! # Three GEMM spellings, one rounding behaviour
+//!
+//! Every spelling accumulates each output element as one ascending-`kk`
+//! chain of correctly rounded FMAs from the value parked in the
+//! accumulator tile, so they differ only in how many chains run side by
+//! side:
+//!
+//! * [`SimdPath::ScalarFma`] — the `f32::mul_add` twin in `microkernel`,
+//!   one `MR x NR = 6 x 16` tile per call;
+//! * [`SimdPath::Avx2Fma`] — the same 6x16 tile in 12 ymm accumulators;
+//! * [`SimdPath::Avx512`] — two adjacent packed `B` strips against one `A`
+//!   strip, a 6x32 tile in 12 zmm accumulators (two `B` loads and six
+//!   broadcasts per `kk` step, the AVX2 ratio at twice the width). The
+//!   packed layouts are unchanged: the pair is just two `NR`-wide strips
+//!   read side by side. `microkernel::macro_tile` steps `j` two strips at
+//!   a time on this path and runs an odd last strip — and any one-strip
+//!   GEMM, such as a rank-16 output — through the AVX2 kernel.
 //!
 //! The bitwise-vs-fallback contract — `LORAFUSION_SIMD=0` and the default
 //! produce identical bits on any given host — is asserted by the fuzz
-//! matrix in `crates/tensor/tests/gemm_fuzz.rs` and by the dual-path
-//! digest gates in `scripts/ci.sh` (`bench_gemm` and `bench_loss`).
+//! matrix in `crates/tensor/tests/gemm_fuzz.rs` over every
+//! [`supported_paths`] spelling, and by the dual-path digest gates in
+//! `scripts/ci.sh` (`bench_gemm`, which also runs every spelling in
+//! process, and `bench_loss`).
 //!
 //! # The in-tree `exp`: one definition, two spellings
 //!
@@ -41,9 +66,9 @@
 //! with plain multiplies and adds only (no FMA, whose availability differs
 //! between hosts). It is therefore the same function on every host, and it
 //! has two spellings: an 8-lane AVX2 kernel and the scalar twin [`exp`],
-//! bitwise-equal lane for lane. [`exp_shifted_on_path`] dispatches like
-//! the GEMM microkernel (AVX2 on [`SimdPath::Avx2Fma`], the twin
-//! otherwise), so `LORAFUSION_SIMD=0` moves the loss head between
+//! bitwise-equal lane for lane. [`exp_shifted_on_path`] takes the AVX2
+//! kernel on both vector paths ([`SimdPath::Avx512`] included) and the
+//! twin otherwise, so `LORAFUSION_SIMD=0` moves the loss head between
 //! spellings without changing a bit.
 //!
 //! Accuracy: on every input whose exponential is a normal `f32`
@@ -60,13 +85,17 @@ use crate::microkernel::{MR, NR};
 
 /// Which microkernel spelling a GEMM call executes. See the module docs
 /// for the purity rules; obtain values via [`active_path`] / [`path_for`]
-/// rather than constructing them ad hoc.
+/// / [`supported_paths`] rather than constructing them ad hoc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPath {
+    /// Explicit `core::arch` AVX-512 6x32 paired-strip kernel, with the
+    /// AVX2 kernel for an unpaired strip. Requires [`fma_semantics`] and
+    /// `avx512f`.
+    Avx512,
     /// Explicit `core::arch` AVX2+FMA 6x16 register kernel. Requires
     /// [`fma_semantics`] to be true.
     Avx2Fma,
-    /// Scalar twin of the vector kernel: same fused multiply-add rounding
+    /// Scalar twin of the vector kernels: same fused multiply-add rounding
     /// via `f32::mul_add`, no `core::arch`. The forced-off spelling on
     /// FMA hosts.
     ScalarFma,
@@ -79,16 +108,18 @@ impl SimdPath {
     /// Lower-case tag used by benches, result files, and trace counters.
     pub fn tag(self) -> &'static str {
         match self {
+            SimdPath::Avx512 => "avx512",
             SimdPath::Avx2Fma => "avx2+fma",
             SimdPath::ScalarFma => "scalar-fma",
             SimdPath::Scalar => "scalar",
         }
     }
 
-    /// Whether this path can execute on the current host. `Avx2Fma`
-    /// requires detection; the scalar spellings always run.
+    /// Whether this path can execute on the current host. The vector
+    /// paths require detection; the scalar spellings always run.
     pub fn is_supported(self) -> bool {
         match self {
+            SimdPath::Avx512 => avx512_detected(),
             SimdPath::Avx2Fma => fma_semantics(),
             SimdPath::ScalarFma | SimdPath::Scalar => true,
         }
@@ -106,9 +137,22 @@ pub fn fma_semantics() -> bool {
     *DETECTED.get_or_init(detect_avx2_fma)
 }
 
+/// One-time runtime detection of `avx512f` on top of AVX2+FMA: whether
+/// [`SimdPath::Avx512`] can run. Changes which spelling runs, never the
+/// semantics [`fma_semantics`] fixes.
+fn avx512_detected() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| fma_semantics() && detect_avx512f())
+}
+
 #[cfg(target_arch = "x86_64")]
 fn detect_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+#[cfg(target_arch = "x86_64")]
+fn detect_avx512f() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -116,10 +160,17 @@ fn detect_avx2_fma() -> bool {
     false
 }
 
+#[cfg(not(target_arch = "x86_64"))]
+fn detect_avx512f() -> bool {
+    false
+}
+
 /// Human-readable summary of the detected features, recorded in bench
 /// result rows so cross-machine trajectories stay comparable.
 pub fn detected_features() -> &'static str {
-    if fma_semantics() {
+    if avx512_detected() {
+        "avx512+fma"
+    } else if fma_semantics() {
         "avx2+fma"
     } else {
         "none"
@@ -142,16 +193,29 @@ fn env_enables_simd() -> bool {
     })
 }
 
-/// The execution path for a given env decision on *this* host — the pure
-/// function `(detected features, enabled) -> path`. Tests use it to force
-/// both spellings inside one process, where env vars are unreliable.
-pub fn path_for(enabled: bool) -> SimdPath {
-    if !fma_semantics() {
-        SimdPath::Scalar
-    } else if enabled {
-        SimdPath::Avx2Fma
+/// Every spelling of this host's numeric semantics, widest first: the
+/// vector kernels the host can run, then the scalar twin. All of them
+/// give the same bits, so tests and the `bench_gemm` digest gate run each
+/// one in a single process.
+pub fn supported_paths() -> &'static [SimdPath] {
+    if avx512_detected() {
+        &[SimdPath::Avx512, SimdPath::Avx2Fma, SimdPath::ScalarFma]
+    } else if fma_semantics() {
+        &[SimdPath::Avx2Fma, SimdPath::ScalarFma]
     } else {
-        SimdPath::ScalarFma
+        &[SimdPath::Scalar]
+    }
+}
+
+/// The execution path for a given env decision on *this* host — the pure
+/// function `(detected features, enabled) -> path`: the widest
+/// [`supported_paths`] spelling when enabled, the scalar one otherwise.
+pub fn path_for(enabled: bool) -> SimdPath {
+    let paths = supported_paths();
+    if enabled {
+        paths[0]
+    } else {
+        paths[paths.len() - 1]
     }
 }
 
@@ -244,17 +308,17 @@ fn pow2(n: i32) -> f32 {
 }
 
 /// `dst[i] = exp(src[i] - shift)` over `min(src.len(), dst.len())`
-/// elements with an explicit spelling: the AVX2 kernel on
-/// [`SimdPath::Avx2Fma`], the scalar twin [`exp`] otherwise. Both give the
-/// same bits; tests use this to run both inside one process. `path` must
-/// be supported on this host ([`SimdPath::is_supported`]).
+/// elements with an explicit spelling: the AVX2 kernel on both vector
+/// paths, the scalar twin [`exp`] otherwise. Both give the same bits;
+/// tests use this to run both inside one process. `path` must be
+/// supported on this host ([`SimdPath::is_supported`]).
 #[inline]
 pub fn exp_shifted_on_path(path: SimdPath, src: &[f32], shift: f32, dst: &mut [f32]) {
     match path {
-        SimdPath::Avx2Fma => {
+        SimdPath::Avx512 | SimdPath::Avx2Fma => {
             assert!(
                 fma_semantics(),
-                "SimdPath::Avx2Fma dispatched on a host without AVX2+FMA"
+                "a vector SimdPath dispatched on a host without AVX2+FMA"
             );
             #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2 availability was just verified via the cached
@@ -295,6 +359,113 @@ pub(crate) fn microkernel_avx2(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; 
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("fma_semantics() is false off x86-64");
+}
+
+/// Runs the explicit AVX-512 paired-strip microkernel: accumulates the
+/// packed `apanel` (`k x MR`) against two packed `B` strips (`k x NR`
+/// each) into the two adjacent accumulator tiles, as one 6x32 register
+/// tile. Each element is one ascending-`kk` chain of correctly rounded
+/// fused multiply-adds, so the result is bitwise-equal to two
+/// [`microkernel_avx2`] (or `ScalarFma` twin) calls, one per strip.
+///
+/// Panics if the host lacks AVX-512 (callers dispatch on [`SimdPath`],
+/// which [`path_for`] only sets to `Avx512` after detection).
+#[inline]
+pub(crate) fn microkernel_avx512_pair(
+    apanel: &[f32],
+    bpanels: [&[f32]; 2],
+    acc: &mut [[[f32; NR]; MR]; 2],
+) {
+    assert!(
+        avx512_detected(),
+        "SimdPath::Avx512 dispatched on a host without AVX-512"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX-512F availability was just verified via the cached
+    // runtime detection, and the kernel bounds its reads by the panel
+    // slice lengths.
+    unsafe {
+        avx512::kernel_pair(apanel, bpanels, acc);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("avx512_detected() is false off x86-64");
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{MR, NR};
+    use core::arch::x86_64::{
+        __m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+
+    /// The 6x32 AVX-512 register tile: 12 zmm accumulators (6 rows x one
+    /// 16-lane vector per `B` strip), two `B`-strip loads and 6 broadcasts
+    /// feeding 12 FMAs per `kk` step — the AVX2 kernel's FMA-port-bound
+    /// ratio at twice the vector width. Each `NR = 16` strip is exactly
+    /// one zmm wide, so the two strips keep their packed layouts and are
+    /// simply read side by side. The loop is unrolled four steps deep like
+    /// the AVX2 kernel; each element's reduction is one ascending-`kk`
+    /// fused-multiply-add chain in one register, bitwise-equal to the
+    /// other spellings.
+    ///
+    /// # Safety
+    ///
+    /// Caller must guarantee AVX-512F is available on the executing CPU.
+    /// All memory access is bounded by the panel slice lengths.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn kernel_pair(
+        apanel: &[f32],
+        bpanels: [&[f32]; 2],
+        acc: &mut [[[f32; NR]; MR]; 2],
+    ) {
+        let k = (apanel.len() / MR)
+            .min(bpanels[0].len() / NR)
+            .min(bpanels[1].len() / NR);
+        let mut ap = apanel.as_ptr();
+        let mut bp0 = bpanels[0].as_ptr();
+        let mut bp1 = bpanels[1].as_ptr();
+        let mut c: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
+        for (i, ci) in c.iter_mut().enumerate() {
+            ci[0] = _mm512_loadu_ps(acc[0][i].as_ptr());
+            ci[1] = _mm512_loadu_ps(acc[1][i].as_ptr());
+        }
+        // One `kk` step: one vector load per strip plus 6 broadcast-FMA
+        // pairs, fully unrolled by the constant row bound so every
+        // accumulator stays pinned to its own zmm register.
+        macro_rules! step {
+            () => {
+                let b0 = _mm512_loadu_ps(bp0);
+                let b1 = _mm512_loadu_ps(bp1);
+                for (i, ci) in c.iter_mut().enumerate() {
+                    let ai = _mm512_set1_ps(*ap.add(i));
+                    ci[0] = _mm512_fmadd_ps(ai, b0, ci[0]);
+                    ci[1] = _mm512_fmadd_ps(ai, b1, ci[1]);
+                }
+                ap = ap.add(MR);
+                bp0 = bp0.add(NR);
+                bp1 = bp1.add(NR);
+            };
+        }
+        let mut kk = 0;
+        while kk + 4 <= k {
+            step!();
+            step!();
+            step!();
+            step!();
+            kk += 4;
+        }
+        while kk < k {
+            step!();
+            kk += 1;
+        }
+        // The trailing step's pointer bumps are intentionally unused.
+        let _ = (ap, bp0, bp1);
+        for (i, ci) in c.iter().enumerate() {
+            _mm512_storeu_ps(acc[0][i].as_mut_ptr(), ci[0]);
+            _mm512_storeu_ps(acc[1][i].as_mut_ptr(), ci[1]);
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -462,12 +633,19 @@ mod tests {
     #[test]
     fn path_resolution_is_pure_in_env_decision() {
         // Whatever the host, the two env decisions must map to supported
-        // paths with identical numeric semantics.
+        // paths with identical numeric semantics: the widest and the
+        // scalar end of `supported_paths`.
         let on = path_for(true);
         let off = path_for(false);
-        assert!(on.is_supported());
-        assert!(off.is_supported());
-        if fma_semantics() {
+        let paths = supported_paths();
+        assert!(paths.iter().all(|p| p.is_supported()));
+        assert_eq!(paths.first(), Some(&on));
+        assert_eq!(paths.last(), Some(&off));
+        if avx512_detected() {
+            assert_eq!(on, SimdPath::Avx512);
+            assert_eq!(off, SimdPath::ScalarFma);
+            assert!(paths.contains(&SimdPath::Avx2Fma));
+        } else if fma_semantics() {
             assert_eq!(on, SimdPath::Avx2Fma);
             assert_eq!(off, SimdPath::ScalarFma);
         } else {
@@ -480,7 +658,13 @@ mod tests {
 
     #[test]
     fn detected_features_tag_is_consistent() {
-        assert_eq!(fma_semantics(), detected_features() == "avx2+fma");
+        let want = match (avx512_detected(), fma_semantics()) {
+            (true, _) => "avx512+fma",
+            (false, true) => "avx2+fma",
+            (false, false) => "none",
+        };
+        assert_eq!(detected_features(), want);
+        assert_eq!(SimdPath::Avx512.is_supported(), avx512_detected());
         assert!(active_path().is_supported());
     }
 
@@ -490,14 +674,6 @@ mod tests {
         prefetch_read(v.as_ptr());
         prefetch_read(v.as_ptr().wrapping_add(1 << 20));
         prefetch_read(std::ptr::null());
-    }
-
-    /// Every spelling this host can run: the vector one (when detected)
-    /// and both scalar ones.
-    fn exp_paths() -> Vec<SimdPath> {
-        let mut paths = vec![path_for(true), path_for(false), SimdPath::Scalar];
-        paths.dedup();
-        paths
     }
 
     /// `f32` one bit pattern above or below `x`.
@@ -551,14 +727,14 @@ mod tests {
         xs
     }
 
-    /// One definition, two spellings: every path this host can run gives
-    /// the scalar twin's bits, with and without a shift.
+    /// One definition, two spellings: every [`supported_paths`] spelling
+    /// gives the scalar twin's bits, with and without a shift.
     #[test]
     fn exp_spellings_agree_bitwise() {
         let xs = exp_sweep();
         for shift in [0.0f32, 3.25, -90.0] {
             let want: Vec<u32> = xs.iter().map(|&x| exp(x - shift).to_bits()).collect();
-            for path in exp_paths() {
+            for &path in supported_paths() {
                 let mut got = vec![f32::NAN; xs.len()];
                 exp_shifted_on_path(path, &xs, shift, &mut got);
                 let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
@@ -598,14 +774,13 @@ mod tests {
 
     /// Exhaustive form of the accuracy check over every `f32` whose
     /// exponential is a normal `f32` (~2.2·10⁹ inputs, about 1.5–2 min
-    /// on one core in release), with the vector spelling compared bit for
-    /// bit along the way. Run by `scripts/ci.sh`:
+    /// on one core in release), with every [`supported_paths`] spelling
+    /// compared to the twin bit for bit along the way. Run by `scripts/ci.sh`:
     /// `cargo test --release -p lorafusion-tensor --lib exhaustive -- --ignored`.
     #[test]
     #[ignore]
     fn exp_is_within_one_ulp_exhaustively() {
         const BLOCK: u32 = 1 << 14;
-        let paths = exp_paths();
         let mut xs = vec![0.0f32; BLOCK as usize];
         let mut got = vec![0.0f32; BLOCK as usize];
         let (mut total, mut inexact, mut worst) = (0u64, 0u64, 0u32);
@@ -623,7 +798,7 @@ mod tests {
                     *slot = f32::from_bits(b);
                 }
                 let want: Vec<f32> = xs[..n].iter().map(|&x| exp(x)).collect();
-                for &path in &paths {
+                for &path in supported_paths() {
                     exp_shifted_on_path(path, &xs[..n], 0.0, &mut got[..n]);
                     assert!(
                         got[..n]

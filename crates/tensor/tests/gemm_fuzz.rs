@@ -16,8 +16,8 @@
 //! each fused prologue/epilogue path against the multi-pass composition it
 //! replaces (`scale` / `add` / `hadamard` / mask materialization), also
 //! bitwise. A fourth sweeps the full (layout x shape x thread-count)
-//! matrix with the SIMD path forced on and forced off and asserts bitwise
-//! equality — the `LORAFUSION_SIMD` contract.
+//! matrix on every SIMD spelling the host can run and asserts bitwise
+//! equality with the scalar twin — the `LORAFUSION_SIMD` contract.
 
 use lorafusion_tensor::matmul::{
     gemm_fused_on, gemm_fused_on_path, gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate, Epilogue,
@@ -353,15 +353,17 @@ fn fused_paths_are_bitwise_identical_across_thread_counts() {
 }
 
 /// The `LORAFUSION_SIMD` contract: for every (layout x shape x
-/// thread-count) case, the forced-on and forced-off paths must be
-/// bitwise-equal. Uses `path_for(bool)` + `gemm_fused_on_path` rather
-/// than the env var, which is unreliable under the parallel test runner;
-/// `path_for` is the exact pure function the env override feeds.
+/// thread-count) case, every spelling this host can run must be
+/// bitwise-equal to the scalar twin. Uses `supported_paths` +
+/// `gemm_fused_on_path` rather than the env var, which is unreliable
+/// under the parallel test runner; `path_for` picks the env override's
+/// two paths from the ends of that same list, and on an AVX-512 host the
+/// AVX2 kernel in between is only reachable this way.
 #[test]
-fn simd_forced_on_and_off_are_bitwise_identical() {
-    let on = simd::path_for(true);
-    let off = simd::path_for(false);
-    assert!(on.is_supported() && off.is_supported());
+fn every_simd_spelling_is_bitwise_identical() {
+    let paths = simd::supported_paths();
+    let (&twin, vector) = paths.split_last().unwrap();
+    assert!(paths.iter().all(|p| p.is_supported()));
     for threads in [1usize, 2, 4, 8] {
         let pool = Pool::new(threads);
         for (i, &(m, k, n)) in edge_shapes().iter().enumerate() {
@@ -388,34 +390,27 @@ fn simd_forced_on_and_off_are_bitwise_identical() {
                     ("overwrite", Epilogue::Overwrite),
                     ("addscaled", Epilogue::AddScaled(-0.5)),
                 ] {
-                    let mut c_on = base.clone();
-                    let mut c_off = base.clone();
-                    let prologue = || Prologue::dropout(spec);
-                    gemm_fused_on_path(
-                        &pool,
-                        on,
-                        layout,
-                        1.25,
-                        &a,
-                        &b,
-                        &mut c_on,
-                        prologue(),
-                        epilogue,
-                    )
-                    .unwrap();
-                    gemm_fused_on_path(
-                        &pool,
-                        off,
-                        layout,
-                        1.25,
-                        &a,
-                        &b,
-                        &mut c_off,
-                        prologue(),
-                        epilogue,
-                    )
-                    .unwrap();
-                    assert_matches(&format!("{label} {tag}"), &c_on, &c_off, true);
+                    let run = |path| {
+                        let mut c = base.clone();
+                        gemm_fused_on_path(
+                            &pool,
+                            path,
+                            layout,
+                            1.25,
+                            &a,
+                            &b,
+                            &mut c,
+                            Prologue::dropout(spec),
+                            epilogue,
+                        )
+                        .unwrap();
+                        c
+                    };
+                    let want = run(twin);
+                    for &path in vector {
+                        let got = run(path);
+                        assert_matches(&format!("{label} {tag} {}", path.tag()), &got, &want, true);
+                    }
                 }
             }
         }

@@ -61,9 +61,9 @@ cargo test -q --workspace
 
 # Exhaustive accuracy gate for the in-tree `exp` (tensor::simd): every
 # f32 whose exponential is a normal f32 (~2.2e9 inputs) must come out
-# within 1 ulp of the correctly rounded value, and the AVX2 spelling must
-# match the scalar twin bit for bit on all of them. ~1.5 min on one core
-# in release, so only the full path runs it.
+# within 1 ulp of the correctly rounded value, and every spelling in
+# `simd::supported_paths()` must match the scalar twin bit for bit on all
+# of them. ~1.5 min on one core in release, so only the full path runs it.
 if [[ "$QUICK" -eq 0 ]]; then
   step "exhaustive exp accuracy + dual-spelling sweep"
   cargo test --release -q -p lorafusion-tensor --lib exp_is_within_one_ulp_exhaustively -- --ignored
@@ -86,7 +86,10 @@ fi
 # computed bits. Run it once with SIMD forced off (the safe fallback path)
 # and once under the default dispatch, then diff the two files: the
 # explicit-SIMD kernel must be bitwise-equal to the fallback on every cell,
-# on this host, on every CI run.
+# on this host, on every CI run. Each digest run also reruns every cell on
+# every `simd::supported_paths()` spelling and fails on any bit difference:
+# on an AVX-512 host the override only reaches the AVX-512 and scalar
+# spellings, and this is what still gates the AVX2 kernel there.
 step "bench_gemm dual-path SIMD gate (size 128)"
 if [[ "$QUICK" -eq 0 ]]; then
   LORAFUSION_SIMD=0 BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/fallback.txt" \
