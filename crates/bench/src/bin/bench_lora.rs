@@ -4,34 +4,33 @@
 //! see: the cost of a whole forward+backward step through a LoRA layer,
 //! where the fused executor's epilogue/prologue hooks eliminate every
 //! full-size elementwise pass (dropout, mask-multiply, scale, add) and
-//! the reused [`PlannedWorkspace`] eliminates per-step allocations. The
+//! the reused [`Workspace`] eliminates per-step allocations. The
 //! reference executor is the honest PEFT-style multi-pass baseline.
 //!
 //! Shapes are XSum-like fine-tuning steps: `k = n = hidden` (default
 //! 1024, override with `BENCH_LORA_SIZE`), rank 16, and `m` token counts
 //! of half/one/two times the hidden size, standing in for varying
-//! microbatch token counts. The `fused` rows run the FLOP-optimal
-//! contraction ordering for each shape ([`PlannedWorkspace::for_shape`]).
+//! microbatch token counts. The `fused` rows run FusedLoRA's K1..K5 step
+//! (`kernels::fused`).
 //!
 //! Timing is the median of individually timed iterations after one
 //! warm-up, like `bench_gemm`, with the two executors' iterations
 //! interleaved so background-load swings cannot skew the ratio.
-//! Correctness is asserted on the spot: when the planner picks the
-//! default rank-split plan, fused `y` must be *bitwise* equal to the
-//! reference `y` (any other plan is held to tolerance), gradients must
-//! agree to tolerance, and the fused step must be bitwise reproducible
-//! at 1/2/4/8 threads. `scripts/ci.sh` runs this binary at a small size
-//! as a regression gate with `BENCH_LORA_WRITE=0` so the committed
-//! full-size trajectory stays untouched. Every row also records
-//! `host_cores`, `detected_features`, and the active `simd_path` so rows
-//! from different machines stay comparable.
+//! Correctness is asserted on the spot: fused `y` must be *bitwise* equal
+//! to the reference `y`, gradients must agree to tolerance, and the fused
+//! step must be bitwise reproducible at 1/2/4/8 threads. `scripts/ci.sh`
+//! runs this binary at a small size as a regression gate with
+//! `BENCH_LORA_WRITE=0` so the committed full-size trajectory stays
+//! untouched. Every row also records `host_cores`, `detected_features`,
+//! and the active `simd_path` so rows from different machines stay
+//! comparable.
 
 use std::time::Instant;
 
 use lorafusion_bench::{fmt, print_table, report, write_json};
 use lorafusion_gpu::DeviceKind;
-use lorafusion_kernels::contraction::{ContractionPlan, PlannedWorkspace};
-use lorafusion_kernels::{reference, LoraConfig, LoraLayer, Shape, TrafficModel};
+use lorafusion_kernels::fused::Workspace;
+use lorafusion_kernels::{reference, LoraConfig, LoraLayer, TrafficModel};
 use lorafusion_tensor::ops::all_close;
 use lorafusion_tensor::pool::with_pool;
 use lorafusion_tensor::{Matrix, Pcg32, Pool};
@@ -72,7 +71,7 @@ fn bits(m: &Matrix) -> Vec<u32> {
 }
 
 /// One fused forward+backward step through a reused workspace.
-fn fused_step(ws: &mut PlannedWorkspace, layer: &LoraLayer, x: &Matrix, dy: &Matrix) {
+fn fused_step(ws: &mut Workspace, layer: &LoraLayer, x: &Matrix, dy: &Matrix) {
     ws.forward_into(layer, x, 0).unwrap();
     ws.backward_into(layer, dy).unwrap();
 }
@@ -129,7 +128,6 @@ fn main() {
     for m in [size / 2, size, size * 2] {
         let m = m.max(1);
         let shape = format!("{m}x{k}x{n} r{}", cfg.rank);
-        let lora_shape = Shape::new(m, k, n, cfg.rank);
         let x = Matrix::random_uniform(m, k, 1.0, &mut rng);
         let dy = Matrix::random_uniform(m, n, 1.0, &mut rng);
         // Comparable wall time per shape: smaller steps run more reps.
@@ -142,7 +140,7 @@ fn main() {
         // equally instead of skewing whichever ran in the slower window.
         let serial = Pool::new(1);
         let (ref_seconds, fused_seconds, serial_bits) = with_pool(&serial, || {
-            let mut ws = PlannedWorkspace::for_shape(lora_shape);
+            let mut ws = Workspace::new();
             let ref_step = |black: &mut usize| {
                 let f = reference::forward(&layer, &x, 0, &t).unwrap();
                 let b = reference::backward(&layer, &f.saved, &dy, &t).unwrap();
@@ -166,21 +164,17 @@ fn main() {
             let ref_seconds = ref_times[reps / 2];
             let fused_seconds = fused_times[reps / 2];
 
-            // Correctness gate: the default plan's epilogue/prologue step
-            // must reproduce the multi-pass forward bit-for-bit, any other
-            // plan to tolerance, and the gradients to tolerance (backward
-            // reduction order differs in where alpha is applied).
+            // Correctness gate: the epilogue/prologue step must reproduce
+            // the multi-pass forward bit-for-bit, and the gradients to
+            // tolerance (backward reduction order differs in where alpha
+            // is applied).
             let ref_fwd = reference::forward(&layer, &x, 0, &t).unwrap();
             let ref_bwd = reference::backward(&layer, &ref_fwd.saved, &dy, &t).unwrap();
-            if ws.plan() == ContractionPlan::DEFAULT {
-                assert_eq!(
-                    ws.y.as_slice(),
-                    ref_fwd.y.as_slice(),
-                    "fused y diverged from reference at {shape}"
-                );
-            } else {
-                assert!(all_close(&ws.y, &ref_fwd.y, 1e-4), "y at {shape}");
-            }
+            assert_eq!(
+                ws.y.as_slice(),
+                ref_fwd.y.as_slice(),
+                "fused y diverged from reference at {shape}"
+            );
             assert!(all_close(&ws.dx, &ref_bwd.dx, 1e-4), "dx at {shape}");
             assert!(all_close(&ws.da, &ref_bwd.grads.da, 1e-4), "da at {shape}");
             assert!(all_close(&ws.db, &ref_bwd.grads.db, 1e-4), "db at {shape}");
@@ -209,7 +203,7 @@ fn main() {
         for threads in [2usize, 4, 8] {
             let pool = Pool::new(threads);
             let (seconds, equal) = with_pool(&pool, || {
-                let mut ws = PlannedWorkspace::for_shape(lora_shape);
+                let mut ws = Workspace::new();
                 let seconds = time_median(3, || fused_step(&mut ws, &layer, &x, &dy));
                 let equal = bits(&ws.y) == serial_bits.y
                     && bits(&ws.dx) == serial_bits.dx

@@ -26,16 +26,15 @@
 //! * [`reference`] — "Torch LoRA": the unfused PEFT-style execution with
 //!   separate dropout, projection, scale and add kernels (Fig. 4); the
 //!   oracle every fused executor is tested against;
-//! * [`contraction`] — the single-adapter fused executor: FLOP-optimal
-//!   contraction-order planning that enumerates the valid orderings of the
-//!   LoRA forward/backward, picks the analytic minimum per shape, and
-//!   executes it through the GEMM engine's hooks;
 //! * [`fused`] — FusedLoRA: the split-graph design of Fig. 10, fusing
 //!   dropout into the down-projection and the LoRA epilogue into the base
-//!   GEMM, splitting only at the rank-`r` tensor `S`; the lowering of the
-//!   default [`contraction`] plan;
+//!   GEMM, splitting only at the rank-`r` tensor `S`. It holds the one
+//!   K1..K5 step — the zero-allocation single-adapter executor
+//!   [`fused::Workspace`] and the row-window functions [`multi`] runs per
+//!   segment — and the step's lowering;
 //! * [`multi`] — FusedMultiLoRA: tile-level routing of heterogeneous
-//!   adapters in a single launch (Fig. 11);
+//!   adapters in a single launch (Fig. 11), each segment through the
+//!   [`fused`] step;
 //! * [`full_fusion`] — the two *rejected* designs of Fig. 9 (full fusion
 //!   with recomputation, full fusion with cross-tile synchronization), as
 //!   lowerings for the ablation benches;
@@ -47,7 +46,6 @@
 //!   multi-pass references for the bitwise gates.
 
 pub mod chains;
-pub mod contraction;
 pub mod frozen;
 pub mod full_fusion;
 pub mod fused;

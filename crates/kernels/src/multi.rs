@@ -13,10 +13,10 @@
 use std::collections::BTreeMap;
 
 use lorafusion_gpu::{KernelClass, KernelProfile};
-use lorafusion_tensor::matmul::{gemm_windows_on, Epilogue, Layout, Prologue};
 use lorafusion_tensor::pool;
-use lorafusion_tensor::{matmul_nn, matmul_nt, DropoutSpec, Matrix};
+use lorafusion_tensor::{matmul_nn, matmul_nt, Matrix};
 
+use crate::fused::{backward_window, forward_window};
 use crate::lora::{AdapterWeights, LoraGrads, LoraLayer};
 use crate::traffic::TrafficModel;
 use crate::{KernelError, Result};
@@ -139,8 +139,9 @@ pub fn validate_segments(segments: &[Segment], m: usize, adapters: usize) -> Res
 /// Per-segment activations saved by the multi-adapter forward pass.
 ///
 /// No masks are stored: each segment's dropout mask is a pure function of
-/// its adapter's [`DropoutSpec`] and `dropout_row_offset`, so the backward
-/// `dX` epilogue regenerates it analytically per tile.
+/// its adapter's [`DropoutSpec`](lorafusion_tensor::DropoutSpec) and
+/// `dropout_row_offset`, so the backward `dX` epilogue regenerates it
+/// analytically per tile.
 #[derive(Debug, Clone)]
 pub struct Saved {
     /// Segment layout of the microbatch.
@@ -357,51 +358,21 @@ pub fn forward(
         let _span =
             lorafusion_trace::span!("multi.segment", adapter = seg.adapter, rows = seg.len());
         let adapter = &layer.adapters[seg.adapter];
-        let cfg = adapter.config;
-        let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(seg.dropout_row_offset);
         let rows = seg.len();
-        let x_win = &xs[seg.start * k..seg.end * k];
-
-        // K1 on the window: S = X̂ A with dropout applied in the pack and
-        // X̂ emitted — one read of the segment's input, no mask tensor.
         let mut x_hat = Matrix::zeros(rows, k);
-        let mut s = Matrix::zeros(rows, cfg.rank);
-        gemm_windows_on(
-            current,
-            Layout::Nn,
-            1.0,
-            x_win,
-            adapter.a.as_slice(),
-            s.as_mut_slice(),
-            rows,
-            k,
-            cfg.rank,
-            Prologue {
-                dropout: (!spec.is_identity()).then_some(spec),
-                softmax_grad: None,
-                emit: Some(x_hat.as_mut_slice()),
-            },
-            Epilogue::Overwrite,
-        )?;
-
-        // K2 epilogue: the segment's output rows gain alpha * S B in the
-        // tile store, written straight through the disjoint row window.
+        let mut s = Matrix::zeros(rows, adapter.config.rank);
         // SAFETY: `validate_segments` guarantees the windows are disjoint
         // and in-bounds, and `y` outlives the parallel map.
         let y_win =
             unsafe { std::slice::from_raw_parts_mut(y_ptr.get().add(seg.start * n), rows * n) };
-        gemm_windows_on(
+        forward_window(
             current,
-            Layout::Nn,
-            1.0,
-            s.as_slice(),
-            adapter.b.as_slice(),
+            adapter,
+            seg.dropout_row_offset,
+            &xs[seg.start * k..seg.end * k],
+            &mut x_hat,
+            &mut s,
             y_win,
-            rows,
-            cfg.rank,
-            n,
-            Prologue::none(),
-            Epilogue::AddScaled(cfg.alpha),
         )?;
         Ok((x_hat, s))
     });
@@ -443,6 +414,12 @@ pub fn backward(
         segments = saved.segments.len()
     );
     validate_segments(&saved.segments, dy.rows(), layer.adapters.len())?;
+    if saved.x_hats.len() != saved.segments.len() || saved.s.len() != saved.segments.len() {
+        return Err(KernelError::InvalidParameter {
+            name: "saved",
+            reason: "saved activations must hold one X̂ and one S per segment",
+        });
+    }
     let (k, n) = (layer.k(), layer.n());
 
     // Shared base input gradient.
@@ -464,95 +441,36 @@ pub fn backward(
         let _span =
             lorafusion_trace::span!("multi.segment", adapter = seg.adapter, rows = seg.len());
         let adapter = &layer.adapters[seg.adapter];
-        let cfg = adapter.config;
-        let r = cfg.rank;
-        let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(seg.dropout_row_offset);
+        let r = adapter.config.rank;
         let rows = seg.len();
-        let dy_win = &dys[seg.start * n..seg.end * n];
-        let s = &saved.s[idx];
-        let x_hat = &saved.x_hats[idx];
-
-        // K3: ds = alpha * dY Bᵀ and db = alpha * Sᵀ dY, alpha applied in
-        // the tile store.
         let mut ds = Matrix::zeros(rows, r);
-        gemm_windows_on(
-            current,
-            Layout::Nt,
-            1.0,
-            dy_win,
-            adapter.b.as_slice(),
-            ds.as_mut_slice(),
-            rows,
-            n,
-            r,
-            Prologue::none(),
-            Epilogue::Scaled(cfg.alpha),
-        )?;
-        let mut db = Matrix::zeros(r, n);
-        gemm_windows_on(
-            current,
-            Layout::Tn,
-            1.0,
-            s.as_slice(),
-            dy_win,
-            db.as_mut_slice(),
-            r,
-            rows,
-            n,
-            Prologue::none(),
-            Epilogue::Scaled(cfg.alpha),
-        )?;
-
-        // K4: da = X̂ᵀ ds.
-        let mut da = Matrix::zeros(k, r);
-        gemm_windows_on(
-            current,
-            Layout::Tn,
-            1.0,
-            x_hat.as_slice(),
-            ds.as_slice(),
-            da.as_mut_slice(),
-            k,
-            rows,
-            r,
-            Prologue::none(),
-            Epilogue::Overwrite,
-        )?;
-
-        // K5 epilogue: the segment's dx rows gain (ds Aᵀ) ⊙ mask via the
-        // masked tile store, written straight through the disjoint window.
+        let mut seg_grads = LoraGrads::zeros(k, n, r);
         // SAFETY: `validate_segments` guarantees the windows are disjoint
         // and in-bounds, and `dx` outlives the parallel map.
         let dx_win =
             unsafe { std::slice::from_raw_parts_mut(dx_ptr.get().add(seg.start * k), rows * k) };
-        gemm_windows_on(
+        backward_window(
             current,
-            Layout::Nt,
-            1.0,
-            ds.as_slice(),
-            adapter.a.as_slice(),
+            adapter,
+            seg.dropout_row_offset,
+            &dys[seg.start * n..seg.end * n],
+            &saved.x_hats[idx],
+            &saved.s[idx],
+            &mut ds,
             dx_win,
-            rows,
-            r,
-            k,
-            Prologue::none(),
-            if spec.is_identity() {
-                Epilogue::Add
-            } else {
-                Epilogue::AddMasked(spec)
-            },
+            &mut seg_grads.da,
+            &mut seg_grads.db,
         )?;
-        Ok((da, db))
+        Ok(seg_grads)
     });
 
     for (idx, result) in per_segment.into_iter().enumerate() {
         let seg = &saved.segments[idx];
         let cfg = layer.adapters[seg.adapter].config;
-        let (da, db) = result?;
         let entry = grads
             .entry(seg.adapter)
             .or_insert_with(|| LoraGrads::zeros(layer.k(), layer.n(), cfg.rank));
-        entry.accumulate(&LoraGrads { da, db })?;
+        entry.accumulate(&result?)?;
     }
 
     let kernels = backward_profiles(layer, &saved.segments, t);
@@ -566,7 +484,7 @@ mod tests {
     use lorafusion_tensor::ops::all_close;
     use lorafusion_tensor::Pcg32;
 
-    use crate::contraction::{ContractionPlan, PlannedWorkspace};
+    use crate::fused::Workspace;
     use crate::lora::LoraConfig;
 
     fn traffic() -> TrafficModel {
@@ -609,6 +527,9 @@ mod tests {
         assert!(validate_segments(&[seg(0, 0, 0), seg(0, 0, 8)], 8, 1).is_err());
     }
 
+    /// A one-segment microbatch runs the same GEMMs with the same
+    /// arguments as the single-adapter step, so every tensor matches it
+    /// bit for bit.
     #[test]
     fn single_adapter_matches_fused_lora() {
         let layer = make_layer(24, 18, &[4], 50);
@@ -625,14 +546,27 @@ mod tests {
         let dy = Matrix::random_uniform(16, 18, 1.0, &mut rng);
         let multi = forward(&layer, &x, &segs, &t).unwrap();
         let multi_bwd = backward(&layer, &multi.saved, &dy, &t).unwrap();
-        let mut fused = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
+        let mut fused = Workspace::new();
         fused.forward_into(&single, &x, 0).unwrap();
         fused.backward_into(&single, &dy).unwrap();
-        assert!(all_close(&multi.y, &fused.y, 1e-5));
-        assert!(all_close(&multi_bwd.dx, &fused.dx, 1e-5));
         let g = &multi_bwd.grads[&0];
-        assert!(all_close(&g.da, &fused.da, 1e-5));
-        assert!(all_close(&g.db, &fused.db, 1e-5));
+        for (name, got, want) in [
+            ("y", &multi.y, &fused.y),
+            ("x_hat", &multi.saved.x_hats[0], &fused.x_hat),
+            ("s", &multi.saved.s[0], &fused.s),
+            ("dx", &multi_bwd.dx, &fused.dx),
+            ("da", &g.da, &fused.da),
+            ("db", &g.db, &fused.db),
+        ] {
+            assert_eq!(got.shape(), want.shape(), "{name} shape");
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{name} differs from the single-adapter step"
+            );
+        }
     }
 
     #[test]
@@ -662,7 +596,7 @@ mod tests {
         for (idx, seg) in segs.iter().enumerate() {
             let single = layer.as_single(seg.adapter).unwrap();
             let x_seg = x.slice_rows(seg.start, seg.end).unwrap();
-            let mut solo = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
+            let mut solo = Workspace::new();
             solo.forward_into(&single, &x_seg, seg.dropout_row_offset)
                 .unwrap();
             let joint = multi.y.slice_rows(seg.start, seg.end).unwrap();
@@ -793,6 +727,53 @@ mod tests {
         assert_eq!(bwd.grads[&0].da.shape(), (16, 2));
         assert_eq!(bwd.grads[&1].da.shape(), (16, 4));
         assert_eq!(bwd.grads[&2].da.shape(), (16, 8));
+    }
+
+    #[test]
+    fn mismatched_saved_is_a_typed_error() {
+        let layer = make_layer(12, 10, &[4, 2], 120);
+        let mut rng = Pcg32::seeded(121);
+        let x = Matrix::random_uniform(10, 12, 1.0, &mut rng);
+        let dy = Matrix::random_uniform(10, 10, 1.0, &mut rng);
+        let t = traffic();
+        let segs = [
+            Segment {
+                adapter: 0,
+                start: 0,
+                end: 4,
+                dropout_row_offset: 0,
+            },
+            Segment {
+                adapter: 1,
+                start: 4,
+                end: 10,
+                dropout_row_offset: 0,
+            },
+        ];
+        let fwd = forward(&layer, &x, &segs, &t).unwrap();
+
+        // One fewer S (or X̂) than segments is rejected before any GEMM.
+        let mut short_s = fwd.saved.clone();
+        short_s.s.pop();
+        let mut short_x_hats = fwd.saved.clone();
+        short_x_hats.x_hats.pop();
+        for saved in [&short_s, &short_x_hats] {
+            assert!(matches!(
+                backward(&layer, saved, &dy, &t),
+                Err(KernelError::InvalidParameter { name: "saved", .. })
+            ));
+        }
+
+        // An X̂ of the wrong shape fails the window GEMM's length check.
+        let mut wide_x_hat = fwd.saved.clone();
+        wide_x_hat.x_hats[1] = Matrix::zeros(6, 13);
+        assert!(matches!(
+            backward(&layer, &wide_x_hat, &dy, &t),
+            Err(KernelError::LengthMismatch {
+                expected: 72,
+                actual: 78
+            })
+        ));
     }
 
     #[test]

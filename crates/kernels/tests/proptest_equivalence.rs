@@ -8,7 +8,7 @@
 //! the unfused reference on random shapes, ranks, dropout rates and seeds.
 
 use lorafusion_gpu::DeviceKind;
-use lorafusion_kernels::contraction::{self, ContractionPlan, PlannedWorkspace};
+use lorafusion_kernels::fused::Workspace;
 use lorafusion_kernels::multi::MultiLoraLayer;
 use lorafusion_kernels::{fused, multi, reference, LoraConfig, LoraLayer, Segment, TrafficModel};
 use lorafusion_tensor::ops::all_close;
@@ -62,14 +62,9 @@ fn build_layer(case: &Case) -> (LoraLayer, Matrix, Matrix) {
     (layer, x, dy)
 }
 
-/// One forward+backward step of `plan` through a fresh workspace.
-fn planned_step(
-    plan: ContractionPlan,
-    layer: &LoraLayer,
-    x: &Matrix,
-    dy: &Matrix,
-) -> PlannedWorkspace {
-    let mut ws = PlannedWorkspace::new(plan).unwrap();
+/// One forward+backward step through a fresh workspace.
+fn fused_step(layer: &LoraLayer, x: &Matrix, dy: &Matrix) -> Workspace {
+    let mut ws = Workspace::new();
     ws.forward_into(layer, x, 0).unwrap();
     ws.backward_into(layer, dy).unwrap();
     ws
@@ -78,33 +73,28 @@ fn planned_step(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every contraction plan's forward output and saved `X̂` match Torch
-    /// LoRA.
+    /// The fused step's forward output and saved `X̂` match Torch LoRA.
     #[test]
     fn fused_forward_is_lossless(case in arb_case()) {
         let (layer, x, dy) = build_layer(&case);
         let t = traffic();
         let r = reference::forward(&layer, &x, 0, &t).unwrap();
-        for plan in contraction::enumerate() {
-            let f = planned_step(plan, &layer, &x, &dy);
-            prop_assert!(all_close(&f.y, &r.y, 1e-4));
-            prop_assert_eq!(&f.x_hat, &r.saved.x_hat);
-        }
+        let f = fused_step(&layer, &x, &dy);
+        prop_assert!(all_close(&f.y, &r.y, 1e-4));
+        prop_assert_eq!(&f.x_hat, &r.saved.x_hat);
     }
 
-    /// Every contraction plan's gradients match Torch LoRA.
+    /// The fused step's gradients match Torch LoRA.
     #[test]
     fn fused_backward_is_lossless(case in arb_case()) {
         let (layer, x, dy) = build_layer(&case);
         let t = traffic();
         let r_fwd = reference::forward(&layer, &x, 0, &t).unwrap();
         let r = reference::backward(&layer, &r_fwd.saved, &dy, &t).unwrap();
-        for plan in contraction::enumerate() {
-            let f = planned_step(plan, &layer, &x, &dy);
-            prop_assert!(all_close(&f.dx, &r.dx, 1e-4));
-            prop_assert!(all_close(&f.da, &r.grads.da, 1e-4));
-            prop_assert!(all_close(&f.db, &r.grads.db, 1e-4));
-        }
+        let f = fused_step(&layer, &x, &dy);
+        prop_assert!(all_close(&f.dx, &r.dx, 1e-4));
+        prop_assert!(all_close(&f.da, &r.grads.da, 1e-4));
+        prop_assert!(all_close(&f.db, &r.grads.db, 1e-4));
     }
 
     /// FusedMultiLoRA on a random segmentation matches running each
@@ -155,7 +145,7 @@ proptest! {
             let single = layer.as_single(seg.adapter).unwrap();
             let x_seg = x.slice_rows(seg.start, seg.end).unwrap();
             let dy_seg = dy.slice_rows(seg.start, seg.end).unwrap();
-            let solo = planned_step(ContractionPlan::DEFAULT, &single, &x_seg, &dy_seg);
+            let solo = fused_step(&single, &x_seg, &dy_seg);
 
             let joint_y = fwd.y.slice_rows(seg.start, seg.end).unwrap();
             prop_assert!(all_close(&joint_y, &solo.y, 1e-4));

@@ -1,12 +1,11 @@
 //! Steady-state allocation gate for the single-adapter fused executor.
 //!
-//! A forward+backward step through [`PlannedWorkspace`] must not touch
-//! the heap once warmed up, under every contraction plan: workspace
-//! tensors are `resize`d in place, GEMM packing buffers come from the
-//! thread-local arena, and the serial pool path dispatches inline. This
-//! test installs a counting global allocator and asserts *zero*
-//! allocations and *zero* arena growth events for a warmed step of each
-//! plan in [`contraction::enumerate`].
+//! A forward+backward step through [`Workspace`] must not touch the heap
+//! once warmed up: workspace tensors are `resize`d in place, GEMM packing
+//! buffers come from the thread-local arena, and the serial pool path
+//! dispatches inline. This test installs a counting global allocator and
+//! asserts *zero* allocations and *zero* arena growth events for a warmed
+//! step.
 //!
 //! The step is instrumented with `lorafusion-trace` spans and registry
 //! counters, so this gate also proves the *disabled*-tracing path costs
@@ -23,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lorafusion_gpu::DeviceKind;
-use lorafusion_kernels::contraction::{self, ContractionPlan, PlannedWorkspace};
+use lorafusion_kernels::fused::Workspace;
 use lorafusion_kernels::{reference, LoraConfig, LoraLayer, TrafficModel};
 use lorafusion_tensor::pool::with_pool;
 use lorafusion_tensor::{Matrix, Pcg32, Pool};
@@ -110,62 +109,55 @@ fn steady_state_step_performs_no_heap_allocation() {
     // gate covers).
     let pool = Pool::new(1);
     with_pool(&pool, || {
-        for plan in contraction::enumerate() {
-            let tag = plan.tag();
-            let mut ws = PlannedWorkspace::new(plan).unwrap();
+        let mut ws = Workspace::new();
 
-            // Warm up: first steps size the workspace tensors and the
-            // packing arena, and resolve the trace counter handles (their
-            // one-time registration allocates); a second round proves
-            // sizing is stable.
-            for _ in 0..2 {
-                ws.forward_into(&layer, &x, 0).unwrap();
-                ws.backward_into(&layer, &dy).unwrap();
-            }
-
-            let allocs_before = allocations();
-            let growth_before = lorafusion_tensor::arena::growth_events();
-
-            // A disabled span guard in the measured region must be free.
-            {
-                let _span = lorafusion_trace::span!("zero_alloc.step", m = x.rows());
-                ws.forward_into(&layer, &x, 0).unwrap();
-                ws.backward_into(&layer, &dy).unwrap();
-            }
-
-            let allocs = allocations() - allocs_before;
-            let growth = lorafusion_tensor::arena::growth_events() - growth_before;
-            assert_eq!(
-                allocs, 0,
-                "warmed {tag} step touched the global allocator {allocs} times"
-            );
-            assert_eq!(growth, 0, "warmed {tag} step grew the arena {growth} times");
-
-            // The warmed step still computes the right thing: bit for bit
-            // what a fresh workspace of the same plan computes, and for the
-            // default plan the reference forward itself.
-            let mut fresh = PlannedWorkspace::new(plan).unwrap();
-            fresh.forward_into(&layer, &x, 0).unwrap();
-            fresh.backward_into(&layer, &dy).unwrap();
-            for (name, warm, cold) in [
-                ("y", &ws.y, &fresh.y),
-                ("dx", &ws.dx, &fresh.dx),
-                ("da", &ws.da, &fresh.da),
-                ("db", &ws.db, &fresh.db),
-            ] {
-                assert_eq!(warm.shape(), cold.shape(), "{tag} {name} shape");
-                assert!(
-                    warm.as_slice()
-                        .iter()
-                        .zip(cold.as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "warmed {tag} step diverged from a fresh one in {name}"
-                );
-            }
-            if plan == ContractionPlan::DEFAULT {
-                assert_eq!(ws.y.as_slice(), ref_fwd.y.as_slice());
-            }
+        // Warm up: first steps size the workspace tensors and the packing
+        // arena, and resolve the trace counter handles (their one-time
+        // registration allocates); a second round proves sizing is stable.
+        for _ in 0..2 {
+            ws.forward_into(&layer, &x, 0).unwrap();
+            ws.backward_into(&layer, &dy).unwrap();
         }
+
+        let allocs_before = allocations();
+        let growth_before = lorafusion_tensor::arena::growth_events();
+
+        // A disabled span guard in the measured region must be free.
+        {
+            let _span = lorafusion_trace::span!("zero_alloc.step", m = x.rows());
+            ws.forward_into(&layer, &x, 0).unwrap();
+            ws.backward_into(&layer, &dy).unwrap();
+        }
+
+        let allocs = allocations() - allocs_before;
+        let growth = lorafusion_tensor::arena::growth_events() - growth_before;
+        assert_eq!(
+            allocs, 0,
+            "warmed step touched the global allocator {allocs} times"
+        );
+        assert_eq!(growth, 0, "warmed step grew the arena {growth} times");
+
+        // The warmed step still computes the right thing: bit for bit what
+        // a fresh workspace computes, and a forward equal to the reference.
+        let mut fresh = Workspace::new();
+        fresh.forward_into(&layer, &x, 0).unwrap();
+        fresh.backward_into(&layer, &dy).unwrap();
+        for (name, warm, cold) in [
+            ("y", &ws.y, &fresh.y),
+            ("dx", &ws.dx, &fresh.dx),
+            ("da", &ws.da, &fresh.da),
+            ("db", &ws.db, &fresh.db),
+        ] {
+            assert_eq!(warm.shape(), cold.shape(), "{name} shape");
+            assert!(
+                warm.as_slice()
+                    .iter()
+                    .zip(cold.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "warmed step diverged from a fresh one in {name}"
+            );
+        }
+        assert_eq!(ws.y.as_slice(), ref_fwd.y.as_slice());
     });
 }
 
@@ -190,7 +182,7 @@ fn seeded_allocation_is_caught_by_the_counting_allocator() {
     lorafusion_trace::disable();
     let pool = Pool::new(1);
     with_pool(&pool, || {
-        let mut ws = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
+        let mut ws = Workspace::new();
         for _ in 0..2 {
             ws.forward_into(&layer, &x, 0).unwrap();
         }

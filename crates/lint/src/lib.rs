@@ -46,17 +46,16 @@ pub struct Report {
     pub pragma_counts: BTreeMap<String, u64>,
 }
 
-/// Per-file result of the parallel analysis fan-out.
+/// Per-file result of the token and parse pass.
 struct FileAnalysis {
     rel: String,
     check: rules::FileCheck,
     parsed: parse::ParsedFile,
 }
 
-/// Runs every rule over the workspace rooted at `root`. The per-file
-/// token/parse work fans out over the tensor pool; diagnostics are
-/// sorted by (path, line, rule) afterwards, so the output order is
-/// independent of the thread count.
+/// Runs every rule over the workspace rooted at `root`. Files are lexed
+/// and parsed one after another, and diagnostics are sorted by
+/// (path, line, rule) afterwards.
 pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
     let t0 = lorafusion_trace::now_us();
     let (rust, manifests) = walk::collect_files(root)?;
@@ -66,22 +65,15 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
         ..Report::default()
     };
 
-    // Serial I/O (so errors propagate cleanly), parallel analysis.
-    let mut sources = Vec::with_capacity(rust.len());
+    let mut analyses = Vec::with_capacity(rust.len());
     for (abs, rel) in &rust {
-        sources.push((rel.clone(), std::fs::read_to_string(abs)?));
-    }
-    let pool = lorafusion_tensor::pool::current();
-    let analyses: Vec<FileAnalysis> =
-        lorafusion_tensor::pool::parallel_map(pool, sources.len(), |i| {
-            let (rel, src) = &sources[i];
-            let lexed = lexer::lex(src);
-            FileAnalysis {
-                rel: rel.clone(),
-                check: rules::check_rust_lexed(rel, &lexed),
-                parsed: parse::parse(&lexed),
-            }
+        let lexed = lexer::lex(&std::fs::read_to_string(abs)?);
+        analyses.push(FileAnalysis {
+            rel: rel.clone(),
+            check: rules::check_rust_lexed(rel, &lexed),
+            parsed: parse::parse(&lexed),
         });
+    }
 
     // Token tier + workspace model.
     let mut g = graph::Graph::default();

@@ -6,7 +6,6 @@
 //! ```
 
 use lorafusion_gpu::{CostModel, DeviceKind, TrafficLedger};
-use lorafusion_kernels::contraction::{ContractionPlan, PlannedWorkspace};
 use lorafusion_kernels::{fused, reference, LoraConfig, LoraLayer, Shape, TrafficModel};
 use lorafusion_tensor::ops::max_abs_diff;
 use lorafusion_tensor::{Matrix, Pcg32};
@@ -25,8 +24,8 @@ fn main() {
     let dy = Matrix::random_uniform(32, 48, 1.0, &mut rng);
     let traffic = TrafficModel::for_device(&DeviceKind::H100Sxm.spec());
 
-    // FusedLoRA is the fused executor's default contraction plan.
-    let mut fused_ws = PlannedWorkspace::new(ContractionPlan::DEFAULT).unwrap();
+    // FusedLoRA's K1..K5 step through its reusable workspace.
+    let mut fused_ws = fused::Workspace::new();
     let r_fwd = reference::forward(&layer, &x, 0, &traffic).unwrap();
     fused_ws.forward_into(&layer, &x, 0).unwrap();
     println!(

@@ -14,6 +14,12 @@ if [[ "${1:-}" == "--quick" ]]; then
   QUICK=1
 fi
 
+# Cargo profile of every bench step below: release unless --quick.
+PROFILE=(--release)
+if [[ "$QUICK" -eq 1 ]]; then
+  PROFILE=()
+fi
+
 step() { printf '\n==> %s\n' "$*"; }
 
 # Scratch dir for the machine-readable CI artifacts: the lint verdict
@@ -75,11 +81,7 @@ fi
 # nightly-style full-size (4096) run. BENCH_GEMM_WRITE=0 keeps the
 # committed full-size results/BENCH_gemm.json untouched.
 step "bench_gemm determinism gate (size 256)"
-if [[ "$QUICK" -eq 0 ]]; then
-  BENCH_GEMM_SIZE=256 BENCH_GEMM_WRITE=0 cargo run --release -q -p lorafusion-bench --bin bench_gemm
-else
-  BENCH_GEMM_SIZE=256 BENCH_GEMM_WRITE=0 cargo run -q -p lorafusion-bench --bin bench_gemm
-fi
+BENCH_GEMM_SIZE=256 BENCH_GEMM_WRITE=0 cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_gemm
 
 # Dual-path SIMD gate: the digest mode reduces every (layout, shape,
 # threads) cell's output bits to an FNV-1a digest — a pure function of the
@@ -91,17 +93,10 @@ fi
 # on an AVX-512 host the override only reaches the AVX-512 and scalar
 # spellings, and this is what still gates the AVX2 kernel there.
 step "bench_gemm dual-path SIMD gate (size 128)"
-if [[ "$QUICK" -eq 0 ]]; then
-  LORAFUSION_SIMD=0 BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/fallback.txt" \
-    cargo run --release -q -p lorafusion-bench --bin bench_gemm
-  BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/default.txt" \
-    cargo run --release -q -p lorafusion-bench --bin bench_gemm
-else
-  LORAFUSION_SIMD=0 BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/fallback.txt" \
-    cargo run -q -p lorafusion-bench --bin bench_gemm
-  BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/default.txt" \
-    cargo run -q -p lorafusion-bench --bin bench_gemm
-fi
+LORAFUSION_SIMD=0 BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/fallback.txt" \
+  cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_gemm
+BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/default.txt" \
+  cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_gemm
 diff "$DIGEST_TMP/fallback.txt" "$DIGEST_TMP/default.txt"
 
 # Module-level gate: bench_lora asserts in-binary that the fused executor's
@@ -110,28 +105,17 @@ diff "$DIGEST_TMP/fallback.txt" "$DIGEST_TMP/default.txt"
 # at 1/2/4/8 threads. BENCH_LORA_WRITE=0 keeps the committed full-size
 # results/BENCH_lora.json untouched.
 step "bench_lora fused-vs-reference gate (hidden 128)"
-if [[ "$QUICK" -eq 0 ]]; then
-  BENCH_LORA_SIZE=128 BENCH_LORA_WRITE=0 cargo run --release -q -p lorafusion-bench --bin bench_lora
-else
-  BENCH_LORA_SIZE=128 BENCH_LORA_WRITE=0 cargo run -q -p lorafusion-bench --bin bench_lora
-fi
+BENCH_LORA_SIZE=128 BENCH_LORA_WRITE=0 cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_lora
 
 # Observability gate: rerun the bench_lora gate with tracing armed, then
 # validate the emitted Perfetto trace.json against the Chrome trace-event
 # schema with the in-tree validator (trace_validate exits nonzero on any
 # malformed event or if no counter tracks made it into the file).
 step "trace emission + validation gate"
-if [[ "$QUICK" -eq 0 ]]; then
-  LORAFUSION_TRACE="$TRACE_TMP/trace.json" BENCH_LORA_SIZE=128 BENCH_LORA_WRITE=0 \
-    cargo run --release -q -p lorafusion-bench --bin bench_lora
-  cargo run --release -q -p lorafusion-bench --bin trace_validate -- \
-    "$TRACE_TMP/trace.json" --require-counters 5
-else
-  LORAFUSION_TRACE="$TRACE_TMP/trace.json" BENCH_LORA_SIZE=128 BENCH_LORA_WRITE=0 \
-    cargo run -q -p lorafusion-bench --bin bench_lora
-  cargo run -q -p lorafusion-bench --bin trace_validate -- \
-    "$TRACE_TMP/trace.json" --require-counters 5
-fi
+LORAFUSION_TRACE="$TRACE_TMP/trace.json" BENCH_LORA_SIZE=128 BENCH_LORA_WRITE=0 \
+  cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_lora
+cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin trace_validate -- \
+  "$TRACE_TMP/trace.json" --require-counters 5
 
 # Fused-loss gate: bench_loss asserts in-binary that the chunked fused
 # linear+cross-entropy path is bitwise-equal to the unfused reference for
@@ -142,27 +126,15 @@ fi
 # Llama-8B memory-plan token capacity. Tracing is armed so the loss.*
 # counter tracks can be checked by name.
 step "bench_loss chunked fused linear+CE gate (96x64x512)"
-if [[ "$QUICK" -eq 0 ]]; then
-  LORAFUSION_TRACE="$TRACE_TMP/loss_trace.json" BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 \
-    BENCH_LOSS_VOCAB=512 BENCH_LOSS_WRITE=0 cargo run --release -q -p lorafusion-bench --bin bench_loss
-  cargo run --release -q -p lorafusion-bench --bin trace_validate -- \
-    "$TRACE_TMP/loss_trace.json" \
-    --require-counter loss.fused_calls \
-    --require-counter loss.reference_calls \
-    --require-counter loss.chunks \
-    --require-counter chains.fused_calls \
-    --require-histogram loss.chunk.tokens
-else
-  LORAFUSION_TRACE="$TRACE_TMP/loss_trace.json" BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 \
-    BENCH_LOSS_VOCAB=512 BENCH_LOSS_WRITE=0 cargo run -q -p lorafusion-bench --bin bench_loss
-  cargo run -q -p lorafusion-bench --bin trace_validate -- \
-    "$TRACE_TMP/loss_trace.json" \
-    --require-counter loss.fused_calls \
-    --require-counter loss.reference_calls \
-    --require-counter loss.chunks \
-    --require-counter chains.fused_calls \
-    --require-histogram loss.chunk.tokens
-fi
+LORAFUSION_TRACE="$TRACE_TMP/loss_trace.json" BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 \
+  BENCH_LOSS_VOCAB=512 BENCH_LOSS_WRITE=0 cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_loss
+cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin trace_validate -- \
+  "$TRACE_TMP/loss_trace.json" \
+  --require-counter loss.fused_calls \
+  --require-counter loss.reference_calls \
+  --require-counter loss.chunks \
+  --require-counter chains.fused_calls \
+  --require-histogram loss.chunk.tokens
 
 # Dual-path loss gate: the loss head's exps run through the in-tree
 # `exp`, whose AVX2 and scalar spellings must agree bit for bit. The
@@ -170,17 +142,10 @@ fi
 # bits; run it with SIMD forced off and under the default dispatch, then
 # diff the two files, as for bench_gemm above.
 step "bench_loss dual-path SIMD gate (96x64x512)"
-if [[ "$QUICK" -eq 0 ]]; then
-  LORAFUSION_SIMD=0 BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
-    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_fallback.txt" cargo run --release -q -p lorafusion-bench --bin bench_loss
-  BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
-    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_default.txt" cargo run --release -q -p lorafusion-bench --bin bench_loss
-else
-  LORAFUSION_SIMD=0 BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
-    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_fallback.txt" cargo run -q -p lorafusion-bench --bin bench_loss
-  BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
-    BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_default.txt" cargo run -q -p lorafusion-bench --bin bench_loss
-fi
+LORAFUSION_SIMD=0 BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
+  BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_fallback.txt" cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_loss
+BENCH_LOSS_TOKENS=96 BENCH_LOSS_HIDDEN=64 BENCH_LOSS_VOCAB=512 \
+  BENCH_LOSS_DIGEST="$DIGEST_TMP/loss_default.txt" cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_loss
 diff "$DIGEST_TMP/loss_fallback.txt" "$DIGEST_TMP/loss_default.txt"
 
 # Online-scheduler gate: bench_scheduler asserts in-binary that a full
@@ -189,23 +154,13 @@ diff "$DIGEST_TMP/loss_fallback.txt" "$DIGEST_TMP/loss_default.txt"
 # invocation keeps it fast; tracing is armed so the emitted trace can be
 # checked for the repair-ladder counter tracks (scheduler.repack.*) by name.
 step "bench_scheduler determinism + quality gate (512 events)"
-if [[ "$QUICK" -eq 0 ]]; then
-  LORAFUSION_TRACE="$TRACE_TMP/sched_trace.json" BENCH_SCHED_JOBS=128 BENCH_SCHED_EVENTS=512 \
-    BENCH_SCHED_WRITE=0 cargo run --release -q -p lorafusion-bench --bin bench_scheduler
-  cargo run --release -q -p lorafusion-bench --bin trace_validate -- \
-    "$TRACE_TMP/sched_trace.json" \
-    --require-counter scheduler.repack.local_repair \
-    --require-counter scheduler.repack.cold_solves \
-    --require-histogram 'scheduler.event.padded_tokens{class=arrive}'
-else
-  LORAFUSION_TRACE="$TRACE_TMP/sched_trace.json" BENCH_SCHED_JOBS=128 BENCH_SCHED_EVENTS=512 \
-    BENCH_SCHED_WRITE=0 cargo run -q -p lorafusion-bench --bin bench_scheduler
-  cargo run -q -p lorafusion-bench --bin trace_validate -- \
-    "$TRACE_TMP/sched_trace.json" \
-    --require-counter scheduler.repack.local_repair \
-    --require-counter scheduler.repack.cold_solves \
-    --require-histogram 'scheduler.event.padded_tokens{class=arrive}'
-fi
+LORAFUSION_TRACE="$TRACE_TMP/sched_trace.json" BENCH_SCHED_JOBS=128 BENCH_SCHED_EVENTS=512 \
+  BENCH_SCHED_WRITE=0 cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin bench_scheduler
+cargo run "${PROFILE[@]}" -q -p lorafusion-bench --bin trace_validate -- \
+  "$TRACE_TMP/sched_trace.json" \
+  --require-counter scheduler.repack.local_repair \
+  --require-counter scheduler.repack.cold_solves \
+  --require-histogram 'scheduler.event.padded_tokens{class=arrive}'
 
 # Bench-regression gate: diff every committed results/BENCH_*.json against
 # its pinned copy under results/baselines/. Provenance fields (host_cores,
