@@ -14,7 +14,7 @@ struct Row {
     tokens_per_second: f64,
     oom: bool,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     capacity,
     tokens_per_second,
     oom

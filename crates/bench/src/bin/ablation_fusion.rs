@@ -12,7 +12,7 @@ struct Row {
     sync_ms: f64,
     split_ms: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     tokens,
     torch_ms,
     recompute_ms,

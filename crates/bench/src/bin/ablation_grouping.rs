@@ -15,7 +15,7 @@ struct Row {
     noops: usize,
     tokens_per_second: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     groups,
     microbatches,
     noops,

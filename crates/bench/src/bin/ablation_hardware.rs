@@ -11,7 +11,7 @@ struct Row {
     machine_balance: f64,
     fused_speedup: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     device,
     machine_balance,
     fused_speedup

@@ -13,7 +13,7 @@ struct Row {
     tokens_per_second: f64,
     improvement_pct: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     config,
     tokens_per_second,
     improvement_pct

@@ -54,7 +54,7 @@ struct Row {
     speedup_vs_serial: f64,
     bitwise_equal_to_serial: bool,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     layout,
     shape,
     threads,

@@ -46,7 +46,7 @@ struct Row {
     speedup_vs_reference: f64,
     bitwise_equal_to_serial: bool,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     executor,
     shape,
     threads,

@@ -62,7 +62,7 @@ struct Row {
     peak_ratio_vs_unfused: f64,
     bitwise_equal_to_reference: bool,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     kind,
     shape,
     chunk_tokens,

@@ -59,7 +59,7 @@ struct Row {
     cold_solves: u64,
     digest: String,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     queued_jobs,
     host_cores,
     detected_features,

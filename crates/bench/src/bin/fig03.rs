@@ -14,7 +14,7 @@ struct Row {
     fwd_slowdown_pct: f64,
     bwd_slowdown_pct: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     tokens,
     variant,
     fwd_tokens_per_s,

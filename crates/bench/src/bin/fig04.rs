@@ -13,7 +13,7 @@ struct Breakdown {
     elementwise_pct: f64,
     total_ms: f64,
 }
-lorafusion_bench::impl_to_json!(Breakdown {
+lorafusion_trace::impl_to_json!(Breakdown {
     pass,
     base_gemm_pct,
     lora_gemm_pct,

@@ -19,7 +19,7 @@ struct Row {
     fsdp_norm: f64,
     pp_norm: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     global_batch_size,
     fsdp_tokens_per_s,
     pp_tokens_per_s,

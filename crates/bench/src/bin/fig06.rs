@@ -14,7 +14,7 @@ struct Row {
     max: usize,
     cv: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     dataset,
     mean,
     p25,

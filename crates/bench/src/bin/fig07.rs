@@ -17,7 +17,7 @@ struct Row {
     slowdown_pct: f64,
     multi_lora_potential: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     dataset,
     system,
     practical_tokens_per_s,

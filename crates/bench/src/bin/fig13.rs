@@ -13,7 +13,7 @@ struct Row {
     max: usize,
     histogram: Vec<(usize, usize)>,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     dataset,
     mean,
     std_dev,

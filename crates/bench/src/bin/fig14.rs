@@ -51,7 +51,7 @@ struct Cell {
     tokens_per_second: f64,
     oom: bool,
 }
-lorafusion_bench::impl_to_json!(Cell {
+lorafusion_trace::impl_to_json!(Cell {
     model,
     gpus,
     workload,

@@ -50,7 +50,7 @@ struct Cell {
     tokens_per_second: f64,
     oom: bool,
 }
-lorafusion_bench::impl_to_json!(Cell {
+lorafusion_trace::impl_to_json!(Cell {
     model,
     workload,
     system,

@@ -15,7 +15,7 @@ struct Row {
     system: String,
     tokens_per_second: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     gpus,
     mode,
     system,

@@ -12,7 +12,7 @@ struct Row {
     multi_fwd_speedup: f64,
     multi_bwd_speedup: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     tokens,
     fused_fwd_speedup,
     fused_bwd_speedup,

@@ -14,7 +14,7 @@ struct Row {
     fused_speedup: f64,
     multi_speedup: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     model,
     layer,
     k,

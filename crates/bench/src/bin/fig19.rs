@@ -13,7 +13,7 @@ struct Row {
     fused_write_gb: f64,
     traffic_ratio: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     shape,
     torch_read_gb,
     torch_write_gb,

@@ -12,7 +12,7 @@ struct Row {
     method: String,
     bubble_ratio_pct: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     method,
     bubble_ratio_pct
 });

@@ -16,7 +16,7 @@ struct Row {
     simulated_compute_seconds: f64,
     ms_per_sample: f64,
 }
-lorafusion_bench::impl_to_json!(Row {
+lorafusion_trace::impl_to_json!(Row {
     samples_total,
     scheduling_seconds,
     simulated_compute_seconds,

@@ -12,7 +12,7 @@ struct Bar {
     tokens_per_second: f64,
     speedup: f64,
 }
-lorafusion_bench::impl_to_json!(Bar {
+lorafusion_trace::impl_to_json!(Bar {
     config,
     tokens_per_second,
     speedup

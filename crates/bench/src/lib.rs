@@ -11,12 +11,10 @@ use std::path::PathBuf;
 
 use lorafusion_data::{Dataset, DatasetPreset};
 use lorafusion_sched::AdapterJob;
+use lorafusion_trace::json::ToJson;
 
 pub mod host;
-pub mod json;
 pub mod report;
-
-pub use json::{Json, ToJson};
 
 /// The five workload columns of Figs. 14/15: four homogeneous settings and
 /// the heterogeneous one.
@@ -106,15 +104,9 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes `value` as JSON under `results/<name>.json` (best effort).
-///
-/// Serialization goes through the dependency-free [`json`] emitter; the
-/// default-on `json` feature can be disabled to skip writing result files
-/// entirely (e.g. in read-only sandboxes).
+/// Writes `value` as pretty JSON under `results/<name>.json` (best
+/// effort: I/O errors are ignored).
 pub fn write_json<T: ToJson>(name: &str, value: &T) {
-    if !cfg!(feature = "json") {
-        return;
-    }
     let dir = PathBuf::from("results");
     if fs::create_dir_all(&dir).is_err() {
         return;

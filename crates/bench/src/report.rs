@@ -13,18 +13,16 @@
 //!   counter tracks.
 //! * [`finish`] takes a final counter sample, flushes the Perfetto
 //!   `trace.json` (when tracing is on) and writes the full metrics
-//!   snapshot next to it as `<trace stem>.metrics.json` via the in-tree
-//!   [`Json`] emitter.
+//!   snapshot next to it as `<trace stem>.metrics.json`
+//!   ([`lorafusion_trace::validate::metrics_json`]).
 //!
 //! All of it is inert when tracing is disabled except `scalar`'s print
 //! and gauge store (a couple of relaxed atomics).
 
 use std::path::Path;
 
-use lorafusion_trace::hist;
-use lorafusion_trace::metrics::{self, gauge, intern, Kind};
-
-use crate::json::Json;
+use lorafusion_trace::metrics::{self, gauge, intern};
+use lorafusion_trace::validate::metrics_json;
 
 /// Parses `--trace` out of argv, arms tracing, records the run name.
 pub fn init(bin: &'static str) {
@@ -95,65 +93,4 @@ impl Drop for RunGuard {
 pub fn init_guard(bin: &'static str) -> RunGuard {
     init(bin);
     RunGuard
-}
-
-/// The full metrics registry as a JSON object (name → value, histograms
-/// as `{total, p50, p95, p99, buckets: [[upper_bound, count], ...]}`).
-/// The quantiles follow the deterministic `lorafusion_trace::hist`
-/// contract, so they are bitwise-identical across thread counts and
-/// across merge orders.
-pub fn metrics_json() -> Json {
-    let fields = metrics::metrics_snapshot()
-        .into_iter()
-        .map(|m| {
-            let value = match m.kind {
-                Kind::Histogram => Json::Obj(vec![
-                    ("total".into(), Json::num(m.value)),
-                    (
-                        "p50".into(),
-                        Json::num(hist::quantile_from_buckets(&m.buckets, 0.50) as f64),
-                    ),
-                    (
-                        "p95".into(),
-                        Json::num(hist::quantile_from_buckets(&m.buckets, 0.95) as f64),
-                    ),
-                    (
-                        "p99".into(),
-                        Json::num(hist::quantile_from_buckets(&m.buckets, 0.99) as f64),
-                    ),
-                    (
-                        "buckets".into(),
-                        Json::Arr(
-                            m.buckets
-                                .iter()
-                                .map(|&(bound, count)| {
-                                    Json::Arr(vec![
-                                        Json::num(bound as f64),
-                                        Json::num(count as f64),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-                _ => Json::num(m.value),
-            };
-            (m.name.to_string(), value)
-        })
-        .collect();
-    Json::Obj(fields)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn metrics_json_renders_every_registered_metric() {
-        metrics::counter("report.test_counter").add(3);
-        gauge("report.test_gauge").set(2.5);
-        let rendered = metrics_json().pretty();
-        assert!(rendered.contains("\"report.test_counter\": 3"));
-        assert!(rendered.contains("\"report.test_gauge\": 2.5"));
-    }
 }

@@ -6,7 +6,6 @@ use crate::distributions::{DatasetPreset, LengthDistribution};
 
 /// One training sample: the scheduler only needs its identity and length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Sample {
     /// Stable sample identifier (index into the dataset).
     pub id: u64,
@@ -16,7 +15,6 @@ pub struct Sample {
 
 /// A synthetic dataset: a named, seeded sequence of samples.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dataset {
     /// Display name.
     pub name: String,

@@ -4,7 +4,6 @@ use lorafusion_tensor::Pcg32;
 
 /// A sampler of token sequence lengths.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LengthDistribution {
     /// Every sample has the same length (the "ideal" workloads of Figs. 5
     /// and 7).
@@ -86,7 +85,6 @@ impl LengthDistribution {
 
 /// The datasets used in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DatasetPreset {
     /// XSum: short single-sentence summaries of BBC articles.
     XSum,

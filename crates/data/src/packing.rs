@@ -13,7 +13,6 @@ use crate::dataset::Sample;
 
 /// One packed microbatch: samples plus padding accounting.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PackedBatch {
     /// Samples in the microbatch.
     pub samples: Vec<Sample>,

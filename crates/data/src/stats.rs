@@ -2,7 +2,6 @@
 
 /// Summary statistics of a length sample.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LengthStats {
     /// Number of observations.
     pub count: usize,

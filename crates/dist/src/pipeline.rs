@@ -43,7 +43,6 @@ impl PipelineJob {
 
 /// Simulation options.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PipelineOptions {
     /// Number of stages.
     pub stages: usize,
@@ -55,7 +54,6 @@ pub struct PipelineOptions {
 
 /// One executed task in the pipeline trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEvent {
     /// Microbatch index in the stream.
     pub microbatch: usize,
@@ -71,7 +69,6 @@ pub struct TraceEvent {
 
 /// Simulation result.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PipelineResult {
     /// Total wall-clock seconds.
     pub makespan: f64,
@@ -84,29 +81,6 @@ pub struct PipelineResult {
     pub tokens: usize,
     /// Full execution trace (one event per executed task).
     pub trace: Vec<TraceEvent>,
-}
-
-impl PipelineResult {
-    /// Renders the trace in Chrome trace-event JSON (open in
-    /// `chrome://tracing` or Perfetto; one row per pipeline stage).
-    pub fn chrome_trace(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.trace.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{}}}",
-                if e.forward { "F" } else { "B" },
-                e.microbatch,
-                e.start * 1e6,
-                (e.end - e.start) * 1e6,
-                e.stage
-            ));
-        }
-        out.push(']');
-        out
-    }
 }
 
 impl PipelineResult {

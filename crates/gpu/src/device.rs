@@ -6,7 +6,6 @@
 /// performance model accounts traffic at the training precision the paper
 /// uses (half precision activations/weights, full-precision optimizer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DType {
     /// 8-bit float (used only to model compact dropout-mask storage).
     F8,
@@ -35,7 +34,6 @@ impl DType {
 /// These are the devices the paper evaluates on (H100, L40S) plus the ones
 /// the artifact ships pre-tuned kernel configs for (A100 SXM/PCIe, RTX3090).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeviceKind {
     /// NVIDIA H100 SXM 80GB (NVLink).
     H100Sxm,
@@ -118,7 +116,6 @@ impl DeviceKind {
 
 /// Calibrated hardware parameters of one GPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceSpec {
     /// Marketing name, matching the artifact's tuning-config keys.
     pub name: &'static str,

@@ -8,7 +8,6 @@ use crate::device::DeviceSpec;
 /// run on tensor cores with shape-dependent utilization, while elementwise
 /// kernels stream memory at a fraction of peak bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KernelClass {
     /// Dense tensor-core GEMM with logical shape `m x k x n`.
     Gemm {
@@ -45,7 +44,6 @@ pub enum KernelClass {
 
 /// FLOPs and DRAM traffic of one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelProfile {
     /// Stable kernel name used by breakdowns and ledgers.
     pub name: String,
@@ -74,7 +72,6 @@ impl KernelProfile {
 
 /// What limited a kernel's execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Boundedness {
     /// Tensor-core throughput bound.
     Compute,
@@ -86,7 +83,6 @@ pub enum Boundedness {
 
 /// Cost estimate for one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelCost {
     /// Wall-clock seconds including launch overhead.
     pub seconds: f64,
@@ -100,7 +96,6 @@ pub struct KernelCost {
 /// shapes: ~40%/36% LoRA fwd/bwd slowdown at n=k=4096 (Fig. 3), ~2.6x DRAM
 /// traffic (Section 3.1), and 1.2-1.4x fused-kernel speedups (Fig. 17).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     /// Peak fraction a well-tiled large GEMM achieves on tensor cores.
     pub gemm_base_efficiency: f64,

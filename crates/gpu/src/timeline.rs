@@ -12,7 +12,6 @@ use crate::kernel::{CostModel, KernelProfile};
 
 /// One executed kernel interval on a stream.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimelineEvent {
     /// Kernel name.
     pub name: String,
@@ -34,7 +33,6 @@ impl TimelineEvent {
 /// Idle is first-class so bubble ratios can be computed from explicit
 /// events rather than reconstructed from cursor arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdleGap {
     /// Gap start in seconds (the cursor before the wait).
     pub start: f64,
@@ -52,7 +50,6 @@ impl IdleGap {
 
 /// A single-stream execution record.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Timeline {
     events: Vec<TimelineEvent>,
     idle: Vec<IdleGap>,
@@ -173,7 +170,6 @@ impl Timeline {
 
 /// Aggregated DRAM traffic per kernel name.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficLedger {
     per_kernel: BTreeMap<String, (u64, u64)>,
 }

@@ -195,7 +195,7 @@ struct LossMetrics {
 
 fn loss_metrics() -> &'static LossMetrics {
     use lorafusion_trace::label::Scope;
-    use lorafusion_trace::metrics::{counter, quantile_histogram};
+    use lorafusion_trace::metrics::{counter, histogram};
     static METRICS: std::sync::OnceLock<LossMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| {
         let class = |v| Scope::new(&[("class", v)]);
@@ -203,7 +203,7 @@ fn loss_metrics() -> &'static LossMetrics {
             fused_calls: counter("loss.fused_calls"),
             reference_calls: counter("loss.reference_calls"),
             chunks: counter("loss.chunks"),
-            chunk_tokens: quantile_histogram("loss.chunk.tokens"),
+            chunk_tokens: histogram("loss.chunk.tokens"),
             fused_by_class: [
                 class("small").counter("loss.fused_calls"),
                 class("medium").counter("loss.fused_calls"),

@@ -31,6 +31,7 @@ pub mod walk;
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use lorafusion_trace::json::{Json, ToJson};
 use rules::Diag;
 
 /// Result of a full-tree check.
@@ -160,22 +161,6 @@ pub fn render_budget(counts: &BTreeMap<String, u64>, pragmas: &BTreeMap<String, 
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a report as machine-readable JSON, mirroring the
 /// `bench_regress` verdict shape: a top-level `ok`, scalar scan stats,
 /// and a `diags` array of `{path, line, rule, message}` objects sorted
@@ -193,28 +178,24 @@ fn json_escape(s: &str) -> String {
 /// }
 /// ```
 pub fn render_json(report: &Report) -> String {
-    let mut out = format!(
-        "{{\n  \"ok\": {},\n  \"rust_files\": {},\n  \"manifests\": {},\n  \"violations\": {},\n  \"diags\": [",
-        report.diags.is_empty(),
-        report.rust_files,
-        report.manifests,
-        report.diags.len(),
-    );
-    for (i, d) in report.diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.path),
-            d.line,
-            d.rule,
-            json_escape(&d.message)
-        ));
-    }
-    if !report.diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let diags = report
+        .diags
+        .iter()
+        .map(|d| {
+            Json::Obj(vec![
+                ("path".into(), Json::Str(d.path.clone())),
+                ("line".into(), d.line.to_json()),
+                ("rule".into(), Json::Str(d.rule.into())),
+                ("message".into(), Json::Str(d.message.clone())),
+            ])
+        })
+        .collect();
+    Json::Obj(vec![
+        ("ok".into(), Json::Bool(report.diags.is_empty())),
+        ("rust_files".into(), report.rust_files.to_json()),
+        ("manifests".into(), report.manifests.to_json()),
+        ("violations".into(), report.diags.len().to_json()),
+        ("diags".into(), Json::Arr(diags)),
+    ])
+    .pretty()
 }

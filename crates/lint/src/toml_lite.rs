@@ -3,7 +3,7 @@
 //! `dep-freeze` rule), `lint-budget.toml` (integer tables, for the
 //! `unsafe-budget` and `pragma-budget` rules), and `architecture.toml`
 //! (string arrays and string tables, for the semantic rule family).
-//! Same spirit as the in-tree JSON emitter in `bench::json`: parse
+//! Same spirit as the in-tree JSON codec in `trace::json`: parse
 //! exactly the subset we write, strictly, with no external crates.
 
 /// One dependency entry as declared in a manifest.

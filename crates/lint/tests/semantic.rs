@@ -3,7 +3,8 @@
 //! silent) under `crates/lint/fixtures/`, checked through the full
 //! lex → parse → graph → reach pipeline against the fixture contract
 //! `arch_fixture.toml`. Also validates the `--json` rendering against
-//! its documented schema with a minimal in-test JSON reader.
+//! its documented schema, read back with the workspace's strict JSON
+//! parser (`lorafusion_trace::json`).
 
 use std::path::PathBuf;
 
@@ -11,6 +12,7 @@ use lorafusion_lint::graph::Graph;
 use lorafusion_lint::reach::{check_alloc, check_float, check_layering, check_panic, ArchSpec};
 use lorafusion_lint::rules::Diag;
 use lorafusion_lint::{lexer, parse, render_json, source, Report};
+use lorafusion_trace::json::{self, Json};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -158,141 +160,6 @@ fn parser_edge_cases_flow_through_the_whole_pipeline_cleanly() {
 
 // --- `--json` schema validation ------------------------------------
 
-/// Minimal JSON reader for the documented diagnostics schema: objects,
-/// arrays, strings (with escapes), unsigned integers, booleans.
-#[derive(Debug, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(src: &str) -> Json {
-    let chars: Vec<char> = src.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&chars, &mut pos);
-    skip_ws(&chars, &mut pos);
-    assert_eq!(pos, chars.len(), "trailing garbage after JSON document");
-    v
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while chars.get(*pos).is_some_and(|c| c.is_whitespace()) {
-        *pos += 1;
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Json {
-    skip_ws(chars, pos);
-    match chars.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            loop {
-                skip_ws(chars, pos);
-                if chars.get(*pos) == Some(&'}') {
-                    *pos += 1;
-                    break;
-                }
-                let Json::Str(key) = parse_value(chars, pos) else {
-                    panic!("object key must be a string");
-                };
-                skip_ws(chars, pos);
-                assert_eq!(chars.get(*pos), Some(&':'));
-                *pos += 1;
-                fields.push((key, parse_value(chars, pos)));
-                skip_ws(chars, pos);
-                if chars.get(*pos) == Some(&',') {
-                    *pos += 1;
-                }
-            }
-            Json::Obj(fields)
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            loop {
-                skip_ws(chars, pos);
-                if chars.get(*pos) == Some(&']') {
-                    *pos += 1;
-                    break;
-                }
-                items.push(parse_value(chars, pos));
-                skip_ws(chars, pos);
-                if chars.get(*pos) == Some(&',') {
-                    *pos += 1;
-                }
-            }
-            Json::Arr(items)
-        }
-        Some('"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match chars.get(*pos) {
-                    Some('"') => {
-                        *pos += 1;
-                        break;
-                    }
-                    Some('\\') => {
-                        *pos += 1;
-                        match chars.get(*pos) {
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some('r') => s.push('\r'),
-                            Some('u') => {
-                                let hex: String = chars[*pos + 1..*pos + 5].iter().collect();
-                                let code = u32::from_str_radix(&hex, 16).expect("\\u escape");
-                                s.push(char::from_u32(code).expect("scalar"));
-                                *pos += 4;
-                            }
-                            Some(&c) => s.push(c),
-                            None => panic!("unterminated escape"),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        s.push(c);
-                        *pos += 1;
-                    }
-                    None => panic!("unterminated string"),
-                }
-            }
-            Json::Str(s)
-        }
-        Some('t') => {
-            assert_eq!(chars[*pos..*pos + 4].iter().collect::<String>(), "true");
-            *pos += 4;
-            Json::Bool(true)
-        }
-        Some('f') => {
-            assert_eq!(chars[*pos..*pos + 5].iter().collect::<String>(), "false");
-            *pos += 5;
-            Json::Bool(false)
-        }
-        Some(c) if c.is_ascii_digit() => {
-            let mut n = 0u64;
-            while chars.get(*pos).is_some_and(char::is_ascii_digit) {
-                n = n * 10 + chars[*pos].to_digit(10).unwrap() as u64;
-                *pos += 1;
-            }
-            Json::Num(n)
-        }
-        other => panic!("unexpected JSON at {pos}: {other:?}"),
-    }
-}
-
 #[test]
 fn json_rendering_matches_the_documented_schema() {
     let mut report = Report {
@@ -312,11 +179,11 @@ fn json_rendering_matches_the_documented_schema() {
         "alloc-in-hot-path",
         "second diagnostic",
     ));
-    let doc = parse_json(&render_json(&report));
+    let doc = json::parse(&render_json(&report)).expect("--json output parses");
     assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
-    assert_eq!(doc.get("rust_files"), Some(&Json::Num(143)));
-    assert_eq!(doc.get("manifests"), Some(&Json::Num(12)));
-    assert_eq!(doc.get("violations"), Some(&Json::Num(2)));
+    assert_eq!(doc.get("rust_files"), Some(&Json::Num(143.0)));
+    assert_eq!(doc.get("manifests"), Some(&Json::Num(12.0)));
+    assert_eq!(doc.get("violations"), Some(&Json::Num(2.0)));
     let Some(Json::Arr(diags)) = doc.get("diags") else {
         panic!("diags must be an array");
     };
@@ -333,7 +200,7 @@ fn json_rendering_matches_the_documented_schema() {
         )),
         "escaping must round-trip"
     );
-    assert_eq!(diags[0].get("line"), Some(&Json::Num(7)));
+    assert_eq!(diags[0].get("line"), Some(&Json::Num(7.0)));
 }
 
 #[test]
@@ -343,8 +210,8 @@ fn json_rendering_of_a_clean_report_is_ok_with_empty_diags() {
         manifests: 2,
         ..Report::default()
     };
-    let doc = parse_json(&render_json(&report));
+    let doc = json::parse(&render_json(&report)).expect("--json output parses");
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
-    assert_eq!(doc.get("violations"), Some(&Json::Num(0)));
+    assert_eq!(doc.get("violations"), Some(&Json::Num(0.0)));
     assert_eq!(doc.get("diags"), Some(&Json::Arr(Vec::new())));
 }

@@ -161,10 +161,10 @@ fn counters() -> &'static Counters {
             arrive: class("arrive").counter("scheduler.events"),
             finish: class("finish").counter("scheduler.events"),
             cancel: class("cancel").counter("scheduler.events"),
-            arrive_padded: class("arrive").quantile_histogram("scheduler.event.padded_tokens"),
-            depart_padded: class("depart").quantile_histogram("scheduler.event.padded_tokens"),
-            moved_local: rung("local").quantile_histogram("scheduler.repair.moved_jobs"),
-            moved_cold: rung("cold").quantile_histogram("scheduler.repair.moved_jobs"),
+            arrive_padded: class("arrive").histogram("scheduler.event.padded_tokens"),
+            depart_padded: class("depart").histogram("scheduler.event.padded_tokens"),
+            moved_local: rung("local").histogram("scheduler.repair.moved_jobs"),
+            moved_cold: rung("cold").histogram("scheduler.repair.moved_jobs"),
             placements: std::sync::Mutex::new(BTreeMap::new()),
         }
     })

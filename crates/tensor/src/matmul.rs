@@ -58,7 +58,7 @@ fn gemm_trace(layout: Layout, m: usize, k: usize, n: usize) -> SpanGuard {
         let class = |v| lorafusion_trace::label::Scope::new(&[("class", v)]);
         (
             counter("gemm.calls"),
-            lorafusion_trace::metrics::quantile_histogram("gemm.m.tokens"),
+            lorafusion_trace::metrics::histogram("gemm.m.tokens"),
             [
                 class("small").counter("gemm.calls"),
                 class("medium").counter("gemm.calls"),

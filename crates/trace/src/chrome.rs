@@ -21,28 +21,13 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use crate::json::escape;
 use crate::metrics;
 use crate::sim;
 use crate::span::{self, Cat};
 
 const CPU_PID: u64 = 1;
 const SIM_PID: u64 = 2;
-
-fn escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 fn num(value: f64) -> f64 {
     if value.is_finite() {
@@ -52,9 +37,11 @@ fn num(value: f64) -> f64 {
     }
 }
 
-/// Incremental trace-event JSON builder. Crate-visible so the flight
-/// recorder renders its post-mortem dumps through the same escaping
-/// and schema as the live exporter.
+/// Incremental trace-event JSON builder: events are written straight
+/// into one string (a simulated run emits up to 250k of them), with
+/// every string quoted by [`crate::json::escape`]. Crate-visible so the
+/// flight recorder renders its post-mortem dumps through the same
+/// escaping and schema as the live exporter.
 pub(crate) struct Events {
     out: String,
     first: bool,
@@ -81,10 +68,10 @@ impl Events {
         let out = self.start();
         let _ = write!(
             out,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{which}\",\"args\":{{\"name\":\""
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{which}\",\"args\":{{\"name\":"
         );
-        escape(out, name);
-        out.push_str("\"}}");
+        escape(name, out);
+        out.push_str("}}");
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -99,11 +86,11 @@ impl Events {
         args: &[(&str, f64)],
     ) {
         let out = self.start();
-        out.push_str("{\"ph\":\"X\",\"name\":\"");
-        escape(out, name);
+        out.push_str("{\"ph\":\"X\",\"name\":");
+        escape(name, out);
         let _ = write!(
             out,
-            "\",\"cat\":\"{cat}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{}",
+            ",\"cat\":\"{cat}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{}",
             num(ts_us),
             num(dur_us)
         );
@@ -113,9 +100,8 @@ impl Events {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('"');
-                escape(out, key);
-                let _ = write!(out, "\":{}", num(*value));
+                escape(key, out);
+                let _ = write!(out, ":{}", num(*value));
             }
             out.push('}');
         }
@@ -124,11 +110,11 @@ impl Events {
 
     pub(crate) fn counter(&mut self, pid: u64, name: &str, ts_us: f64, value: f64) {
         let out = self.start();
-        out.push_str("{\"ph\":\"C\",\"name\":\"");
-        escape(out, name);
+        out.push_str("{\"ph\":\"C\",\"name\":");
+        escape(name, out);
         let _ = write!(
             out,
-            "\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"args\":{{\"value\":{}}}}}",
+            ",\"pid\":{pid},\"tid\":0,\"ts\":{},\"args\":{{\"value\":{}}}}}",
             num(ts_us),
             num(value)
         );
@@ -225,7 +211,8 @@ mod tests {
             let _outer = crate::span!("chrome.outer", m = 3usize);
             let _inner = crate::task_span!("chrome.inner");
         }
-        let track = sim::sim_track("chrome test stream");
+        // A hostile stream label must not break the JSON.
+        let track = sim::sim_track("chrome \"test\"\\ stream\n");
         sim::sim_complete(track, "k_fused", 0.0, 42.0);
         sim::sim_idle(track, 42.0, 8.0);
         metrics::counter("test.chrome.counter").add(2);
@@ -238,14 +225,6 @@ mod tests {
         assert!(stats.idle_events >= 1, "idle event present");
         assert!(stats.counter_tracks >= 1, "counter track present");
         assert!(stats.pids.contains(&CPU_PID) && stats.pids.contains(&SIM_PID));
-        // Escaping: a hostile name must not break the JSON.
         span::drain_all_events();
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        let mut out = String::new();
-        escape(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
     }
 }

@@ -142,10 +142,9 @@ impl Scope {
         metrics::gauge(self.interned(base))
     }
 
-    /// Resolve the labeled log-linear quantile histogram `base{…}`
-    /// (the global [`crate::hist::bounds`] table).
-    pub fn quantile_histogram(&self, base: &str) -> Histogram {
-        metrics::quantile_histogram(self.interned(base))
+    /// Resolve the labeled histogram `base{…}`.
+    pub fn histogram(&self, base: &str) -> Histogram {
+        metrics::histogram(self.interned(base))
     }
 }
 
@@ -228,7 +227,7 @@ mod tests {
         let before = c1.get();
         c2.add(3);
         assert_eq!(c1.get(), before + 3, "same canonical name, same cell");
-        let h = s1.quantile_histogram("test.label.hist");
+        let h = s1.histogram("test.label.hist");
         h.record(100);
         assert!(h.total() >= 1);
     }

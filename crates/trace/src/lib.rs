@@ -1,6 +1,6 @@
 //! `lorafusion-trace`: spans, metrics, and Chrome/Perfetto export.
 //!
-//! The crate has three layers, all dependency-free:
+//! The crate has four layers, all dependency-free:
 //!
 //! 1. **Spans** ([`span!`] / [`task_span!`]): RAII guards that record a
 //!    named interval into a thread-local buffer. When tracing is
@@ -8,15 +8,22 @@
 //!    load — no heap allocation, no thread-local buffer touch — so the
 //!    hot kernel paths stay zero-alloc (asserted by
 //!    `crates/kernels/tests/zero_alloc.rs`).
-//! 2. **Metrics** ([`metrics`]): a global registry of named counters,
-//!    gauges, and fixed-bucket histograms backed by leaked
-//!    `&'static AtomicU64` cells. Always on (an atomic add is cheap),
-//!    snapshotted on demand, and sampled into Perfetto counter tracks.
-//! 3. **Exporters** ([`chrome`], [`sim`], [`validate`]): render real
-//!    CPU execution (one track per worker thread) and the simulated
-//!    GPU timelines (one track per stream) into a single Chrome
-//!    trace-event JSON file, plus a minimal parser/validator for the
-//!    emitted schema so CI can gate on well-formed output.
+//! 2. **Metrics** ([`metrics`], [`label`], [`hist`]): a global registry
+//!    of named counters, gauges, and log-linear histograms backed by
+//!    leaked `&'static AtomicU64` cells. Always on (an atomic add is
+//!    cheap), snapshotted on demand, and sampled into Perfetto counter
+//!    tracks. Every histogram shares one bucket table, so quantiles are
+//!    bitwise-identical at any thread count.
+//! 3. **JSON** ([`json`]): the workspace's one JSON codec — the
+//!    [`json::Json`] value type with its emitter, the [`json::ToJson`]
+//!    trait and [`impl_to_json!`] for result structs, one string
+//!    escaper, and a strict linear-time parser.
+//! 4. **Exporters and checks** ([`chrome`], [`sim`], [`flight`],
+//!    [`validate`], [`regress`]): render real CPU execution (one track
+//!    per worker thread) and the simulated GPU timelines (one track per
+//!    stream) into a single Chrome trace-event JSON file, write and
+//!    validate the metrics snapshot, and diff bench results against
+//!    their pinned baselines, so CI can gate on well-formed output.
 //!
 //! # Determinism contract
 //!
@@ -43,6 +50,7 @@
 pub mod chrome;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod label;
 pub mod metrics;
 pub mod regress;

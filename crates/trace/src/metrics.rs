@@ -1,12 +1,17 @@
-//! Global metrics registry: counters, gauges, fixed-bucket histograms.
+//! Global metrics registry: counters, gauges, log-linear histograms.
 //!
 //! Metrics are always on — an increment is one relaxed atomic add on a
 //! leaked `&'static AtomicU64` cell, so handles are `Copy` and a hot
 //! call site pays the name lookup once by caching the handle in a
 //! `OnceLock` (see `lorafusion-tensor`'s pool for the pattern).
 //!
+//! Every histogram shares the one global log-linear bucket table of
+//! [`crate::hist`], so histograms merge by adding counts and their
+//! quantiles are deterministic; recording is a binary search over that
+//! cached `&'static` table plus one relaxed add.
+//!
 //! The registry feeds two exporters: [`metrics_snapshot`] (a compact
-//! name→value dump rendered to JSON by `lorafusion-bench`) and
+//! name→value dump that [`crate::validate::metrics_json`] renders) and
 //! [`sample_counters`], which appends timestamped samples that
 //! [`crate::chrome`] turns into Perfetto counter tracks.
 
@@ -20,22 +25,10 @@ pub enum Kind {
     Histogram,
 }
 
-impl Kind {
-    pub fn tag(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
-        }
-    }
-}
-
 struct Entry {
     name: &'static str,
     kind: Kind,
     cells: &'static [AtomicU64],
-    /// Histogram bucket upper bounds (inclusive); empty otherwise.
-    bounds: &'static [u64],
 }
 
 fn registry() -> &'static Mutex<Vec<Entry>> {
@@ -47,7 +40,7 @@ fn leak_cells(n: usize) -> &'static [AtomicU64] {
     Box::leak((0..n).map(|_| AtomicU64::new(0)).collect::<Box<[_]>>())
 }
 
-fn register(name: &'static str, kind: Kind, bounds: &'static [u64]) -> &'static [AtomicU64] {
+fn register(name: &'static str, kind: Kind) -> &'static [AtomicU64] {
     let mut registry = registry().lock().unwrap();
     if let Some(entry) = registry.iter().find(|e| e.name == name) {
         assert_eq!(
@@ -57,16 +50,11 @@ fn register(name: &'static str, kind: Kind, bounds: &'static [u64]) -> &'static 
         return entry.cells;
     }
     let cells = leak_cells(if kind == Kind::Histogram {
-        bounds.len() + 1
+        crate::hist::bounds().len() + 1
     } else {
         1
     });
-    registry.push(Entry {
-        name,
-        kind,
-        cells,
-        bounds,
-    });
+    registry.push(Entry { name, kind, cells });
     cells
 }
 
@@ -122,37 +110,24 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds, plus
-/// an implicit overflow bucket.
+/// Log-linear histogram over the global [`crate::hist::bounds`] table,
+/// plus an overflow bucket.
 #[derive(Clone, Copy)]
-pub struct Histogram {
-    cells: &'static [AtomicU64],
-    bounds: &'static [u64],
-}
+pub struct Histogram(&'static [AtomicU64]);
 
 impl Histogram {
+    /// One binary search over the cached bucket table, one relaxed add.
     #[inline]
     pub fn record(&self, value: u64) {
-        // First bound >= value; bounds are strictly ascending, so a
-        // binary search keeps recording O(log buckets) even for the
-        // ~250-bucket log-linear quantile table.
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.cells[idx].fetch_add(1, Ordering::Relaxed);
+        self.0[crate::hist::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
     pub fn total(&self) -> u64 {
-        self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.0.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
     /// `(upper_bound, count)` pairs; the overflow bucket reports
     /// `u64::MAX` as its bound.
     pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-                (bound, c.load(Ordering::Relaxed))
-            })
-            .collect()
+        buckets_of(self.0)
     }
     /// Deterministic quantile of the recorded values under the
     /// [`crate::hist`] contract (upper bound of the bucket where the
@@ -162,36 +137,31 @@ impl Histogram {
     }
 }
 
+fn buckets_of(cells: &[AtomicU64]) -> Vec<(u64, u64)> {
+    let bounds = crate::hist::bounds();
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let bound = bounds.get(i).copied().unwrap_or(u64::MAX);
+            (bound, c.load(Ordering::Relaxed))
+        })
+        .collect()
+}
+
 /// Look up or create the counter `name`.
 pub fn counter(name: &'static str) -> Counter {
-    Counter(&register(name, Kind::Counter, &[])[0])
+    Counter(&register(name, Kind::Counter)[0])
 }
 
 /// Look up or create the gauge `name`.
 pub fn gauge(name: &'static str) -> Gauge {
-    Gauge(&register(name, Kind::Gauge, &[])[0])
+    Gauge(&register(name, Kind::Gauge)[0])
 }
 
-/// Look up or create the histogram `name` with the given bucket upper
-/// bounds (must be sorted ascending; validated on first registration).
-pub fn histogram(name: &'static str, bounds: &'static [u64]) -> Histogram {
-    assert!(
-        bounds.windows(2).all(|w| w[0] < w[1]),
-        "histogram {name:?} bounds must be strictly ascending"
-    );
-    Histogram {
-        cells: register(name, Kind::Histogram, bounds),
-        bounds,
-    }
-}
-
-/// Look up or create the log-linear quantile histogram `name`: the
-/// global [`crate::hist::bounds`] bucket table, merge-order-invariant
-/// `u64` counts, exact p50/p95/p99 via [`Histogram::quantile`]. This
-/// is the default histogram for new telemetry — explicit-bounds
-/// [`histogram`] remains for metrics whose buckets *are* the contract.
-pub fn quantile_histogram(name: &'static str) -> Histogram {
-    histogram(name, crate::hist::bounds())
+/// Look up or create the histogram `name`.
+pub fn histogram(name: &'static str) -> Histogram {
+    Histogram(register(name, Kind::Histogram))
 }
 
 /// Point-in-time value of one registered metric.
@@ -211,17 +181,14 @@ pub fn metrics_snapshot() -> Vec<MetricSnapshot> {
     let mut out: Vec<MetricSnapshot> = registry
         .iter()
         .map(|e| {
-            let raw: Vec<u64> = e.cells.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            let first = e.cells[0].load(Ordering::Relaxed);
             let (value, buckets) = match e.kind {
-                Kind::Counter => (raw[0] as f64, Vec::new()),
-                Kind::Gauge => (f64::from_bits(raw[0]), Vec::new()),
-                Kind::Histogram => (
-                    raw.iter().sum::<u64>() as f64,
-                    raw.iter()
-                        .enumerate()
-                        .map(|(i, &c)| (e.bounds.get(i).copied().unwrap_or(u64::MAX), c))
-                        .collect(),
-                ),
+                Kind::Counter => (first as f64, Vec::new()),
+                Kind::Gauge => (f64::from_bits(first), Vec::new()),
+                Kind::Histogram => {
+                    let buckets = buckets_of(e.cells);
+                    (buckets.iter().map(|&(_, c)| c).sum::<u64>() as f64, buckets)
+                }
             };
             MetricSnapshot {
                 name: e.name,
@@ -307,16 +274,21 @@ mod tests {
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
 
-        let h = histogram("test.hist.basic", &[8, 64, 512]);
+        let h = histogram("test.hist.basic");
         h.record(3);
         h.record(64);
         h.record(1_000_000);
-        assert_eq!(h.total(), 3);
+        h.record(u64::MAX);
+        assert_eq!(h.total(), 4);
         let buckets = h.buckets();
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets[0], (8, 1));
-        assert_eq!(buckets[1], (64, 1));
-        assert_eq!(buckets[3], (u64::MAX, 1));
+        assert_eq!(buckets.len(), crate::hist::bounds().len() + 1);
+        let nonzero: Vec<(u64, u64)> = buckets.into_iter().filter(|&(_, c)| c > 0).collect();
+        assert_eq!(
+            nonzero,
+            vec![(3, 1), (64, 1), (1_048_576, 1), (u64::MAX, 1)],
+            "inclusive upper bounds; 1e6 lands in the (917504, 1048576] sub-bucket"
+        );
+        assert_eq!(h.quantile(0.5), 64);
     }
 
     #[test]

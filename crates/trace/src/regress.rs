@@ -26,7 +26,7 @@
 //! `results/baselines/` then shows exactly which metric moved and by
 //! how much, in the emitted verdict JSON.
 
-use crate::validate::{parse_json, Value};
+use crate::json::{self, Json};
 
 /// Integer fields that are part of a row's identity (the sweep axes),
 /// not measurements.
@@ -101,13 +101,13 @@ impl FileReport {
     }
 }
 
-fn rows_of(doc: &Value, which: &str) -> Result<Vec<Vec<(String, Value)>>, String> {
+fn rows_of(doc: &Json, which: &str) -> Result<Vec<Vec<(String, Json)>>, String> {
     let arr = doc
         .as_arr()
         .ok_or_else(|| format!("{which}: top level must be an array of rows"))?;
     arr.iter()
         .map(|row| match row {
-            Value::Obj(fields) => Ok(fields.clone()),
+            Json::Obj(fields) => Ok(fields.clone()),
             _ => Err(format!("{which}: row is not an object")),
         })
         .collect()
@@ -115,25 +115,25 @@ fn rows_of(doc: &Value, which: &str) -> Result<Vec<Vec<(String, Value)>>, String
 
 /// A row's identity: every string field plus the [`KEY_FIELDS`]
 /// integers, in field order, rendered `k=v` and joined.
-fn row_key(fields: &[(String, Value)]) -> String {
+fn row_key(fields: &[(String, Json)]) -> String {
     let mut parts: Vec<String> = Vec::new();
     for (k, v) in fields {
         if SKIP_FIELDS.contains(&k.as_str()) {
             continue;
         }
         match v {
-            Value::Str(s) => parts.push(format!("{k}={s}")),
-            Value::Num(n) if KEY_FIELDS.contains(&k.as_str()) => parts.push(format!("{k}={n}")),
+            Json::Str(s) => parts.push(format!("{k}={s}")),
+            Json::Num(n) if KEY_FIELDS.contains(&k.as_str()) => parts.push(format!("{k}={n}")),
             _ => {}
         }
     }
     parts.join(",")
 }
 
-fn numeric(v: &Value) -> Option<f64> {
+fn numeric(v: &Json) -> Option<f64> {
     match v {
-        Value::Num(n) => Some(*n),
-        Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
+        Json::Num(n) => Some(*n),
+        Json::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
         _ => None,
     }
 }
@@ -147,8 +147,8 @@ pub fn compare_results(
     current_text: &str,
     rel_tol: f64,
 ) -> Result<FileReport, String> {
-    let baseline = rows_of(&parse_json(baseline_text)?, "baseline")?;
-    let current = rows_of(&parse_json(current_text)?, "current")?;
+    let baseline = rows_of(&json::parse(baseline_text)?, "baseline")?;
+    let current = rows_of(&json::parse(current_text)?, "current")?;
     let mut report = FileReport {
         name: name.to_owned(),
         rows: baseline.len(),
@@ -168,7 +168,7 @@ pub fn compare_results(
             }
             // String identity fields are part of the key; remaining
             // strings (e.g. digests) compare exactly as strings.
-            if let Value::Str(base_s) = base_val {
+            if let Json::Str(base_s) = base_val {
                 let cur_s = cur_row
                     .iter()
                     .find(|(k, _)| k == field)
@@ -234,77 +234,49 @@ pub fn compare_results(
     Ok(report)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::new();
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Render the machine-readable verdict JSON for a set of file reports:
 /// `{"ok": bool, "tolerance": f, "files": [{name, ok, rows,
-/// missing_rows, checks_total, failures: [...]}]}`. Failing checks are
+/// checks_total, missing_rows, failures: [...]}]}`. Failing checks are
 /// listed in full; passing ones only counted, so the verdict stays
 /// small enough to archive with every CI run.
 pub fn render_verdict(reports: &[FileReport], rel_tol: f64) -> String {
-    let ok = reports.iter().all(FileReport::ok);
-    let mut out = format!(
-        "{{\n  \"ok\": {ok},\n  \"tolerance\": {},\n  \"files\": [",
-        json_num(rel_tol)
-    );
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"ok\": {}, \"rows\": {}, \"checks_total\": {},",
-            json_escape(&r.name),
-            r.ok(),
-            r.rows,
-            r.checks.len()
-        ));
-        out.push_str("\n     \"missing_rows\": [");
-        for (j, m) in r.missing_rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(m)));
-        }
-        out.push_str("],\n     \"failures\": [");
-        for (j, c) in r.failures().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n      {{\"row\": \"{}\", \"field\": \"{}\", \"baseline\": {}, \
-                 \"current\": {}, \"rel_delta\": {}, \"class\": \"{:?}\"}}",
-                json_escape(&c.row_key),
-                json_escape(&c.field),
-                json_num(c.baseline),
-                json_num(c.current),
-                json_num(c.rel_delta),
-                c.class
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let text = |s: &str| Json::Str(s.to_owned());
+    let files = reports
+        .iter()
+        .map(|r| {
+            let failures = r
+                .failures()
+                .iter()
+                .map(|c| {
+                    Json::Obj(vec![
+                        ("row".into(), text(&c.row_key)),
+                        ("field".into(), text(&c.field)),
+                        ("baseline".into(), Json::num(c.baseline)),
+                        ("current".into(), Json::num(c.current)),
+                        ("rel_delta".into(), Json::num(c.rel_delta)),
+                        ("class".into(), text(&format!("{:?}", c.class))),
+                    ])
+                })
+                .collect();
+            Json::Obj(vec![
+                ("name".into(), text(&r.name)),
+                ("ok".into(), Json::Bool(r.ok())),
+                ("rows".into(), Json::num(r.rows as f64)),
+                ("checks_total".into(), Json::num(r.checks.len() as f64)),
+                (
+                    "missing_rows".into(),
+                    Json::Arr(r.missing_rows.iter().map(|m| text(m)).collect()),
+                ),
+                ("failures".into(), Json::Arr(failures)),
+            ])
+        })
+        .collect();
+    Json::Obj(vec![
+        ("ok".into(), Json::Bool(reports.iter().all(FileReport::ok))),
+        ("tolerance".into(), Json::num(rel_tol)),
+        ("files".into(), Json::Arr(files)),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]
@@ -322,9 +294,9 @@ mod tests {
         let r = compare_results("BENCH_x", BASE, BASE, 0.5).unwrap();
         assert!(r.ok(), "{:?}", r.failures());
         assert!(r.checks.len() >= 4, "seconds/gflops/bins/bitwise compared");
-        let v = render_verdict(&[r], 0.5);
-        assert!(v.contains("\"ok\": true"));
-        crate::validate::parse_json(&v).expect("verdict is valid JSON");
+        let v = json::parse(&render_verdict(&[r], 0.5)).expect("verdict is valid JSON");
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("tolerance").and_then(Json::as_num), Some(0.5));
     }
 
     #[test]
@@ -366,9 +338,13 @@ mod tests {
         let r = compare_results("b", BASE, &renamed, 0.5).unwrap();
         assert!(!r.ok());
         assert_eq!(r.missing_rows.len(), 1);
-        let v = render_verdict(&[r], 0.5);
-        assert!(v.contains("\"ok\": false"));
-        crate::validate::parse_json(&v).expect("verdict is valid JSON");
+        let v = json::parse(&render_verdict(&[r], 0.5)).expect("verdict is valid JSON");
+        assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
+        let file = &v.get("files").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(file.get("name").and_then(Json::as_str), Some("b"));
+        let missing = file.get("missing_rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(missing.len(), 1);
+        assert!(missing[0].as_str().unwrap().contains("256x256x256"));
     }
 
     #[test]

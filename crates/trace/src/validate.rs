@@ -1,262 +1,21 @@
-//! Schema validation for emitted Chrome trace-event JSON.
+//! Schema validation for the exported telemetry, read back through
+//! [`crate::json::parse`].
 //!
-//! The workspace has a JSON *emitter* (`lorafusion-bench`) but no
-//! parser, so this module carries a minimal recursive-descent one —
-//! just enough to load a trace file back and check the invariants
-//! Perfetto relies on: every event has a `ph`; `"X"` events carry
-//! `name`/`ts`/`dur`/`pid`/`tid` with non-negative durations; `"C"`
-//! events carry a numeric `args` value; metadata events name a
-//! process or thread. `scripts/ci.sh` gates on this via the
+//! Two schemas are checked. A Chrome trace-event file must have the
+//! invariants Perfetto relies on: every event has a `ph`; `"X"` events
+//! carry `name`/`ts`/`dur`/`pid`/`tid` with non-negative durations;
+//! `"C"` events carry a numeric `args` value; metadata events name a
+//! process or thread. A metrics snapshot is the object that
+//! [`metrics_json`] writes, and this module is the one place that both
+//! writes and checks it. `scripts/ci.sh` gates on both via the
 //! `trace_validate` binary.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("json parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, expected: u8) -> Result<(), String> {
-        if self.peek() == Some(expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", expected as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected literal {lit:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'n') => self.eat_literal("null").map(|_| Value::Null),
-            Some(b't') => self.eat_literal("true").map(|_| Value::Bool(true)),
-            Some(b'f') => self.eat_literal("false").map(|_| Value::Bool(false)),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: best effort; lone
-                            // surrogates become the replacement char.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(combined).unwrap_or('\u{FFFD}')
-                                } else {
-                                    '\u{FFFD}'
-                                }
-                            } else {
-                                char::from_u32(cp).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-        let cp = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
-        Ok(cp)
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err(&format!("bad number {text:?}")))
-    }
-}
-
-/// Parse a JSON document.
-pub fn parse_json(text: &str) -> Result<Value, String> {
-    let mut parser = Parser::new(text);
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing garbage after document"));
-    }
-    Ok(value)
-}
+use crate::hist;
+use crate::json::{self, Json};
+use crate::metrics::{self, Kind};
 
 /// Summary of a validated trace file.
 #[derive(Debug, Clone, Default)]
@@ -280,17 +39,17 @@ pub struct TraceStats {
     pub tids: BTreeSet<(u64, u64)>,
 }
 
-fn require_num(event: &Value, key: &str, index: usize) -> Result<f64, String> {
+fn require_num(event: &Json, key: &str, index: usize) -> Result<f64, String> {
     event
         .get(key)
-        .and_then(Value::as_num)
+        .and_then(Json::as_num)
         .ok_or_else(|| format!("event {index}: missing or non-numeric {key:?}"))
 }
 
-fn require_str<'a>(event: &'a Value, key: &str, index: usize) -> Result<&'a str, String> {
+fn require_str<'a>(event: &'a Json, key: &str, index: usize) -> Result<&'a str, String> {
     event
         .get(key)
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or_else(|| format!("event {index}: missing or non-string {key:?}"))
 }
 
@@ -298,10 +57,10 @@ fn require_str<'a>(event: &'a Value, key: &str, index: usize) -> Result<&'a str,
 /// subset Perfetto needs. Accepts both the `{"traceEvents": [...]}`
 /// wrapper and a bare top-level array.
 pub fn validate_trace_str(text: &str) -> Result<TraceStats, String> {
-    let doc = parse_json(text)?;
+    let doc = json::parse(text)?;
     let events = match &doc {
-        Value::Arr(_) => &doc,
-        Value::Obj(_) => doc
+        Json::Arr(_) => &doc,
+        Json::Obj(_) => doc
             .get("traceEvents")
             .ok_or("top-level object lacks \"traceEvents\"")?,
         _ => return Err("top level must be an object or array".into()),
@@ -310,7 +69,7 @@ pub fn validate_trace_str(text: &str) -> Result<TraceStats, String> {
 
     let mut stats = TraceStats::default();
     for (index, event) in events.iter().enumerate() {
-        if !matches!(event, Value::Obj(_)) {
+        if !matches!(event, Json::Obj(_)) {
             return Err(format!("event {index}: not an object"));
         }
         stats.events += 1;
@@ -328,7 +87,7 @@ pub fn validate_trace_str(text: &str) -> Result<TraceStats, String> {
                 stats.pids.insert(pid);
                 stats.tids.insert((pid, tid));
                 stats.complete_events += 1;
-                match event.get("cat").and_then(Value::as_str) {
+                match event.get("cat").and_then(Json::as_str) {
                     Some("idle") => stats.idle_events += 1,
                     Some("sim") => stats.sim_kernel_events += 1,
                     _ => {}
@@ -344,7 +103,7 @@ pub fn validate_trace_str(text: &str) -> Result<TraceStats, String> {
                 let args = event
                     .get("args")
                     .ok_or_else(|| format!("event {index}: counter lacks args"))?;
-                let ok = matches!(args, Value::Obj(fields)
+                let ok = matches!(args, Json::Obj(fields)
                     if !fields.is_empty() && fields.iter().all(|(_, v)| v.as_num().is_some()));
                 if !ok {
                     return Err(format!("event {index}: counter args must be numeric"));
@@ -356,7 +115,7 @@ pub fn validate_trace_str(text: &str) -> Result<TraceStats, String> {
                 let name = require_str(event, "name", index)?;
                 if name == "process_name" || name == "thread_name" {
                     let args = event.get("args").and_then(|a| a.get("name"));
-                    if args.and_then(Value::as_str).is_none() {
+                    if args.and_then(Json::as_str).is_none() {
                         return Err(format!("event {index}: metadata {name:?} lacks args.name"));
                     }
                 }
@@ -379,6 +138,47 @@ pub fn validate_trace_file(path: &Path) -> Result<TraceStats, String> {
     validate_trace_str(&text)
 }
 
+/// The full metrics registry as a JSON object (name → value, histograms
+/// as `{total, p50, p95, p99, buckets: [[upper_bound, count], ...]}`).
+/// The quantiles follow the deterministic [`crate::hist`] contract, so
+/// they are bitwise-identical across thread counts and across merge
+/// orders. [`validate_metrics_str`] checks exactly this shape.
+pub fn metrics_json() -> Json {
+    let fields = metrics::metrics_snapshot()
+        .into_iter()
+        .map(|m| {
+            let value = match m.kind {
+                Kind::Histogram => {
+                    let quantile = |q| Json::num(hist::quantile_from_buckets(&m.buckets, q) as f64);
+                    Json::Obj(vec![
+                        ("total".into(), Json::num(m.value)),
+                        ("p50".into(), quantile(0.50)),
+                        ("p95".into(), quantile(0.95)),
+                        ("p99".into(), quantile(0.99)),
+                        (
+                            "buckets".into(),
+                            Json::Arr(
+                                m.buckets
+                                    .iter()
+                                    .map(|&(bound, count)| {
+                                        Json::Arr(vec![
+                                            Json::num(bound as f64),
+                                            Json::num(count as f64),
+                                        ])
+                                    })
+                                    .collect(),
+                            ),
+                        ),
+                    ])
+                }
+                _ => Json::num(m.value),
+            };
+            (m.name.to_string(), value)
+        })
+        .collect();
+    Json::Obj(fields)
+}
+
 /// Summary of a validated `*.metrics.json` snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsStats {
@@ -388,29 +188,29 @@ pub struct MetricsStats {
     pub histogram_names: BTreeSet<String>,
 }
 
-/// Validate a metrics snapshot (`<trace stem>.metrics.json`) emitted by
-/// `lorafusion-bench`'s reporter: a single object mapping metric names
-/// to either a number (counter/gauge) or a histogram object
-/// `{total, p50, p95, p99, buckets: [[bound, count], ...]}` with
-/// strictly ascending bounds and `total == sum(counts)`. Every name
-/// must satisfy the labeled-metric grammar
+/// Validate a metrics snapshot (`<trace stem>.metrics.json`, rendered
+/// from [`metrics_json`] by `lorafusion-bench`'s reporter): a single
+/// object mapping metric names to either a number (counter/gauge) or a
+/// histogram object `{total, p50, p95, p99, buckets: [[bound, count],
+/// ...]}` with strictly ascending bounds and `total == sum(counts)`.
+/// Every name must satisfy the labeled-metric grammar
 /// ([`crate::label::check_labeled_name`]).
 pub fn validate_metrics_str(text: &str) -> Result<MetricsStats, String> {
-    let doc = parse_json(text)?;
-    let Value::Obj(fields) = &doc else {
+    let doc = json::parse(text)?;
+    let Json::Obj(fields) = &doc else {
         return Err("metrics snapshot: top level must be an object".into());
     };
     let mut stats = MetricsStats::default();
     for (name, value) in fields {
         crate::label::check_labeled_name(name).map_err(|e| format!("metric name {name:?}: {e}"))?;
         match value {
-            Value::Num(_) => {
+            Json::Num(_) => {
                 stats.scalar_names.insert(name.clone());
             }
-            Value::Obj(_) => {
+            Json::Obj(_) => {
                 let total = value
                     .get("total")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("histogram {name:?}: missing numeric \"total\""))?;
                 for q in ["p50", "p95", "p99"] {
                     if value.get(q).is_some_and(|v| v.as_num().is_none()) {
@@ -419,7 +219,7 @@ pub fn validate_metrics_str(text: &str) -> Result<MetricsStats, String> {
                 }
                 let buckets = value
                     .get("buckets")
-                    .and_then(Value::as_arr)
+                    .and_then(Json::as_arr)
                     .ok_or_else(|| format!("histogram {name:?}: missing \"buckets\" array"))?;
                 let mut sum = 0.0;
                 let mut prev_bound = -1.0;
@@ -474,22 +274,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parser_round_trips_basics() {
-        let doc =
-            parse_json(r#"{"a": [1, -2.5e3, true, false, null], "b": {"c": "x\n\"Aé"}}"#).unwrap();
-        assert_eq!(
-            doc.get("a").unwrap().as_arr().unwrap()[1].as_num(),
-            Some(-2500.0)
-        );
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\n\"Aé")
-        );
-        assert!(parse_json("{\"a\": 1,}").is_err());
-        assert!(parse_json("[1, 2] trailing").is_err());
-    }
-
-    #[test]
     fn validates_wellformed_trace() {
         let text = r#"{"traceEvents":[
             {"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"cpu"}},
@@ -530,6 +314,19 @@ mod tests {
         let bad_name = r#"{"h{b=2,a=1}": 3}"#;
         assert!(validate_metrics_str(bad_name).is_err());
         assert!(validate_metrics_str("[1]").is_err());
+    }
+
+    #[test]
+    fn metrics_json_renders_every_registered_metric() {
+        metrics::counter("validate.test_counter").add(3);
+        metrics::gauge("validate.test_gauge").set(2.5);
+        metrics::histogram("validate.test_hist").record(100);
+        let rendered = metrics_json().pretty();
+        assert!(rendered.contains("\"validate.test_counter\": 3"));
+        assert!(rendered.contains("\"validate.test_gauge\": 2.5"));
+        let stats = validate_metrics_str(&rendered).unwrap();
+        assert!(stats.scalar_names.contains("validate.test_counter"));
+        assert!(stats.histogram_names.contains("validate.test_hist"));
     }
 
     #[test]

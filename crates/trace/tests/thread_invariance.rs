@@ -37,7 +37,7 @@ fn labeled_metrics_are_thread_count_invariant() {
         let label = tc.to_string();
         let scope = Scope::new(&[("tc", &label)]);
         let counter = scope.counter("test.invariance.events");
-        let hist = scope.quantile_histogram("test.invariance.values");
+        let hist = scope.histogram("test.invariance.values");
         std::thread::scope(|s| {
             for chunk in vals.chunks(vals.len().div_ceil(tc)) {
                 s.spawn(move || {
