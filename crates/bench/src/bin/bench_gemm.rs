@@ -34,10 +34,8 @@
 //! the AVX2 kernel on an AVX-512 host (the env override reaches only the
 //! widest and the scalar spelling).
 
-use std::time::Instant;
-
-use lorafusion_bench::{fmt, fnv1a, print_table, report, write_json};
-use lorafusion_tensor::matmul::{gemm_fused_on_path, Epilogue, Layout, Prologue};
+use lorafusion_bench::{fmt, fnv1a, print_table, report, time_median, write_json};
+use lorafusion_tensor::matmul::{gemm, Epilogue, Layout, Prologue};
 use lorafusion_tensor::pool::Pool;
 use lorafusion_tensor::simd::{self, SimdPath};
 use lorafusion_tensor::{Matrix, Pcg32};
@@ -86,16 +84,23 @@ fn operands(layout: Layout, m: usize, k: usize, n: usize, rng: &mut Pcg32) -> (M
 
 /// `C = A (x) B` on `path`: the overwrite GEMM every cell measures.
 fn run_once(path: SimdPath, layout: Layout, pool: &Pool, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    gemm_fused_on_path(
+    let (m, n) = c.shape();
+    let k = match layout {
+        Layout::Nn | Layout::Nt => a.cols(),
+        Layout::Tn => a.rows(),
+    };
+    gemm(
         pool,
         path,
         layout,
         1.0,
-        a,
-        b,
-        c,
+        a.as_slice(),
+        b.as_slice(),
+        c.as_mut_slice(),
+        (m, k, n),
         Prologue::none(),
         Epilogue::Overwrite,
+        None,
     )
     .unwrap();
 }
@@ -114,8 +119,10 @@ fn output_bits(
     c.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// One untimed warm-up (whose output feeds the bitwise check), then `reps`
-/// individually timed iterations reduced to their median.
+/// One untimed warm-up, then `reps` individually timed iterations reduced
+/// to their median. Every run overwrites `C` with the same product, so
+/// the output left behind (which feeds the bitwise check) is the
+/// warm-up's.
 fn time_config(
     layout: Layout,
     pool: &Pool,
@@ -126,17 +133,9 @@ fn time_config(
     reps: usize,
 ) -> (f64, Vec<u32>) {
     let path = simd::active_path();
-    let bits = output_bits(path, layout, pool, a, b, (m, n));
     let mut c = Matrix::zeros(m, n);
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            run_once(path, layout, pool, a, b, &mut c);
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    (times[reps / 2], bits)
+    let seconds = time_median(reps, || run_once(path, layout, pool, a, b, &mut c));
+    (seconds, c.as_slice().iter().map(|v| v.to_bits()).collect())
 }
 
 fn main() {

@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use lorafusion_bench::{fmt, print_table, report, write_json};
+use lorafusion_bench::{fmt, median, print_table, report, time_median, write_json};
 use lorafusion_gpu::DeviceKind;
 use lorafusion_kernels::fused::Workspace;
 use lorafusion_kernels::{reference, LoraConfig, LoraLayer, TrafficModel};
@@ -74,21 +74,6 @@ fn bits(m: &Matrix) -> Vec<u32> {
 fn fused_step(ws: &mut Workspace, layer: &LoraLayer, x: &Matrix, dy: &Matrix) {
     ws.forward_into(layer, x, 0).unwrap();
     ws.backward_into(layer, dy).unwrap();
-}
-
-/// Times `step` as the median of `reps` individually timed iterations
-/// after one untimed warm-up.
-fn time_median(reps: usize, mut step: impl FnMut()) -> f64 {
-    step();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            step();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[reps / 2]
 }
 
 fn main() {
@@ -159,10 +144,8 @@ fn main() {
                 fused_step(&mut ws, &layer, &x, &dy);
                 fused_times.push(start.elapsed().as_secs_f64());
             }
-            ref_times.sort_by(f64::total_cmp);
-            fused_times.sort_by(f64::total_cmp);
-            let ref_seconds = ref_times[reps / 2];
-            let fused_seconds = fused_times[reps / 2];
+            let ref_seconds = median(ref_times);
+            let fused_seconds = median(fused_times);
 
             // Correctness gate: the epilogue/prologue step must reproduce
             // the multi-pass forward bit-for-bit, and the gradients to

@@ -36,9 +36,7 @@
 //! in-tree `exp` and the GEMM must give the same loss head on both SIMD
 //! spellings.
 
-use std::time::Instant;
-
-use lorafusion_bench::{fmt, fnv1a, print_table, report, write_json};
+use lorafusion_bench::{fmt, fnv1a, print_table, report, time_median, write_json};
 use lorafusion_dist::memory::{LossMode, MemoryPlan};
 use lorafusion_dist::model_config::ModelPreset;
 use lorafusion_gpu::DeviceKind;
@@ -115,19 +113,6 @@ impl LossBits {
             self.mean
         )
     }
-}
-
-fn time_median(reps: usize, mut step: impl FnMut()) -> f64 {
-    step();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            step();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[reps / 2]
 }
 
 fn env_usize(name: &str, default: usize) -> usize {

@@ -33,7 +33,7 @@
 
 use std::time::Instant;
 
-use lorafusion_bench::{fmt, print_table, report, write_json};
+use lorafusion_bench::{fmt, median, print_table, report, write_json};
 use lorafusion_data::{generate_events, EventStreamConfig, JobEvent};
 use lorafusion_sched::{cold_solve, Job, OnlineConfig, OnlineScheduler};
 use lorafusion_trace::metrics;
@@ -175,7 +175,7 @@ fn main() {
                 len: e.sample.len,
             })
             .collect();
-        let mut cold_times: Vec<f64> = (0..3)
+        let cold_times: Vec<f64> = (0..3)
             .map(|_| {
                 let start = Instant::now();
                 let cold = cold_solve(&live, config.capacity, config.padding_multiple);
@@ -184,8 +184,7 @@ fn main() {
                 seconds
             })
             .collect();
-        cold_times.sort_by(f64::total_cmp);
-        let cold_seconds = cold_times[cold_times.len() / 2];
+        let cold_seconds = median(cold_times);
         let cold_bins = cold_solve(&live, config.capacity, config.padding_multiple).len();
         let bound = (cold_bins as f64 * 1.25).ceil() as usize + 1;
         assert!(

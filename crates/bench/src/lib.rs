@@ -8,6 +8,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use lorafusion_data::{Dataset, DatasetPreset};
 use lorafusion_sched::AdapterJob;
@@ -127,6 +128,28 @@ pub fn fnv1a(bits: &[u32]) -> u64 {
     h
 }
 
+/// Median of `times`: the middle element once sorted, the upper of the
+/// two middle ones for an even count. Panics on an empty list.
+pub fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Times `step` as the [`median`] of `reps` individually timed iterations
+/// after one untimed warm-up. `reps` must be at least 1.
+pub fn time_median(reps: usize, mut step: impl FnMut()) -> f64 {
+    step();
+    median(
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                step();
+                start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
 /// Formats a float with the given precision.
 pub fn fmt(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
@@ -167,6 +190,15 @@ mod tests {
             j.samples.iter().map(|s| s.len).sum::<usize>() as f64 / j.samples.len() as f64
         };
         assert!(mean(&jobs[2]) > 2.0 * mean(&jobs[0]));
+    }
+
+    #[test]
+    fn median_takes_the_sorted_middle() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        let mut calls = 0;
+        time_median(5, || calls += 1);
+        assert_eq!(calls, 6, "one warm-up plus five timed runs");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! The graph is split exactly at the rank-`r` intermediate `S = X̂ A`,
 //! which is cheap to materialize. Around that split point every
 //! memory-bound operation is fused into the GEMM that already streams the
-//! same full-size activation, using the prologue/epilogue hooks of
-//! [`lorafusion_tensor::matmul::gemm_fused`]:
+//! same full-size activation, using the prologue/epilogue hooks of the
+//! one checked GEMM entry, [`lorafusion_tensor::matmul::gemm`] (and its
+//! matrix form `gemm_fused` for the two base GEMMs):
 //!
 //! * **K1** (`fused_lora_fwd_dropout_down`) — dropout runs inside the
 //!   down-projection's `A`-panel packing: `X` is read *once* and both `X̂`
@@ -36,8 +37,8 @@
 //! cost model prices.
 
 use lorafusion_gpu::{KernelClass, KernelProfile};
-use lorafusion_tensor::matmul::{gemm_fused, gemm_windows_on, Epilogue, Layout, Prologue};
-use lorafusion_tensor::{pool, DropoutSpec, Matrix, Pool};
+use lorafusion_tensor::matmul::{gemm, gemm_fused, Epilogue, Layout, Prologue};
+use lorafusion_tensor::{pool, simd, DropoutSpec, Matrix, Pool};
 
 use crate::lora::{AdapterWeights, LoraLayer, Shape};
 use crate::traffic::TrafficModel;
@@ -176,35 +177,36 @@ pub(crate) fn forward_window(
     let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(dropout_row_offset);
     let (rows, k) = x_hat.shape();
     let (r, n) = (s.cols(), adapter.b.cols());
-    gemm_windows_on(
+    let path = simd::active_path();
+    gemm(
         pool,
+        path,
         Layout::Nn,
         1.0,
         x,
         adapter.a.as_slice(),
         s.as_mut_slice(),
-        rows,
-        k,
-        r,
+        (rows, k, r),
         Prologue {
             dropout: (!spec.is_identity()).then_some(spec),
             softmax_grad: None,
             emit: Some(x_hat.as_mut_slice()),
         },
         Epilogue::Overwrite,
+        None,
     )?;
-    gemm_windows_on(
+    gemm(
         pool,
+        path,
         Layout::Nn,
         1.0,
         s.as_slice(),
         adapter.b.as_slice(),
         y,
-        rows,
-        r,
-        n,
+        (rows, r, n),
         Prologue::none(),
         Epilogue::AddScaled(cfg.alpha),
+        None,
     )
 }
 
@@ -233,64 +235,65 @@ pub(crate) fn backward_window(
     let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(dropout_row_offset);
     let (rows, r) = ds.shape();
     let (k, n) = (da.rows(), db.cols());
+    let path = simd::active_path();
     // K3: dS = alpha * dY Bᵀ and dB = alpha * Sᵀ dY.
-    gemm_windows_on(
+    gemm(
         pool,
+        path,
         Layout::Nt,
         1.0,
         dy,
         adapter.b.as_slice(),
         ds.as_mut_slice(),
-        rows,
-        n,
-        r,
+        (rows, n, r),
         Prologue::none(),
         Epilogue::Scaled(cfg.alpha),
+        None,
     )?;
-    gemm_windows_on(
+    gemm(
         pool,
+        path,
         Layout::Tn,
         1.0,
         s.as_slice(),
         dy,
         db.as_mut_slice(),
-        r,
-        rows,
-        n,
+        (r, rows, n),
         Prologue::none(),
         Epilogue::Scaled(cfg.alpha),
+        None,
     )?;
     // K4: dA = X̂ᵀ dS.
-    gemm_windows_on(
+    gemm(
         pool,
+        path,
         Layout::Tn,
         1.0,
         x_hat.as_slice(),
         ds.as_slice(),
         da.as_mut_slice(),
-        k,
-        rows,
-        r,
+        (k, rows, r),
         Prologue::none(),
         Epilogue::Overwrite,
+        None,
     )?;
     // K5's adapter term: dX += (dS Aᵀ) ⊙ mask.
-    gemm_windows_on(
+    gemm(
         pool,
+        path,
         Layout::Nt,
         1.0,
         ds.as_slice(),
         adapter.a.as_slice(),
         dx,
-        rows,
-        r,
-        k,
+        (rows, r, k),
         Prologue::none(),
         if spec.is_identity() {
             Epilogue::Add
         } else {
             Epilogue::AddMasked(spec)
         },
+        None,
     )
 }
 

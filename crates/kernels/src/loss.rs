@@ -9,9 +9,9 @@
 //! blocks through the GEMM engine's existing prologue/epilogue hooks:
 //!
 //! 1. **K1 (per chunk)** — `logits = X_chunk @ W` with the *row-max sink*
-//!    epilogue (`gemm_windows_rowmax_on`): each stored tile folds its
-//!    per-row maximum while register-hot, so the LSE pass reads every
-//!    logits row once instead of twice.
+//!    epilogue (the `row_max` output of `lorafusion_tensor::matmul::gemm`):
+//!    each stored tile folds its per-row maximum while register-hot, so
+//!    the LSE pass reads every logits row once instead of twice.
 //! 2. **LSE pass (per chunk)** — per-row ascending sum-of-exponentials and
 //!    `log_sum_exp`, parallel over rows (each row is one unbroken chain).
 //!    The exps are the in-tree `lorafusion_tensor::simd::exp` (no libm),
@@ -46,12 +46,8 @@
 //! across chunks would reorder its `k`-chain relative to one full GEMM.
 
 use lorafusion_gpu::{KernelClass, KernelProfile};
-use lorafusion_tensor::matmul::{
-    fold_rowmax_partials, gemm_windows_on, gemm_windows_rowmax_on, rowmax_partials_len, Epilogue,
-    Layout, Prologue, SoftmaxGradSpec,
-};
-use lorafusion_tensor::pool;
-use lorafusion_tensor::{loss as tloss, Matrix, TensorError};
+use lorafusion_tensor::matmul::{gemm, Epilogue, Layout, Prologue, SoftmaxGradSpec};
+use lorafusion_tensor::{loss as tloss, pool, simd, Matrix, TensorError};
 
 use crate::traffic::TrafficModel;
 use crate::Result;
@@ -81,7 +77,6 @@ pub const SIM_CHUNK_TOKENS: usize = 4096;
 pub struct LinearCeWorkspace {
     logits: Matrix,
     dlogits: Matrix,
-    partials: Vec<f32>,
     /// Per-token log-sum-exp of the logits row.
     pub lse: Vec<f32>,
     /// Per-token cross-entropy loss.
@@ -100,7 +95,6 @@ impl LinearCeWorkspace {
         Self {
             logits: Matrix::zeros(0, 0),
             dlogits: Matrix::zeros(0, 0),
-            partials: Vec::new(),
             lse: Vec::new(),
             losses: Vec::new(),
             dx: Matrix::zeros(0, 0),
@@ -255,38 +249,35 @@ pub fn fused_linear_ce_into(
 
     let chunk = chunk_tokens.min(m.max(1));
     ws.logits.resize(chunk, v);
-    ws.partials.resize(rowmax_partials_len(chunk, v), 0.0);
     ws.lse.resize(m, 0.0);
     ws.losses.resize(m, 0.0);
     ws.dx.resize(m, h);
     ws.peak_logits_elems = if m == 0 { 0 } else { chunk * v };
     let scale = if m == 0 { 0.0 } else { 1.0 / m as f32 };
 
-    let p = pool::current();
+    let (p, path) = (pool::current(), simd::active_path());
     let mut c0 = 0;
     while c0 < m {
         let rows = chunk.min(m - c0);
         metrics.chunks.incr();
         metrics.chunk_tokens.record(rows as u64);
         let logits = &mut ws.logits.as_mut_slice()[..rows * v];
-        let partials = &mut ws.partials[..rowmax_partials_len(rows, v)];
 
-        // K1: chunk logits with the row-max sink folded into the store.
-        gemm_windows_rowmax_on(
+        // K1: chunk logits, with the row-max sink folded into the store
+        // writing each row's max into its `lse` slot.
+        gemm(
             p,
+            path,
             Layout::Nn,
             1.0,
             &x.as_slice()[c0 * h..(c0 + rows) * h],
             w.as_slice(),
             logits,
-            rows,
-            h,
-            v,
+            (rows, h, v),
             Prologue::none(),
             Epilogue::Overwrite,
-            partials,
+            Some(&mut ws.lse[c0..c0 + rows]),
         )?;
-        fold_rowmax_partials(partials, rows, v, &mut ws.lse[c0..c0 + rows])?;
 
         // Streaming LSE + per-token loss over the chunk.
         lse_pass(logits, v, &mut ws.lse[c0..c0 + rows]);
@@ -300,22 +291,22 @@ pub fn fused_linear_ce_into(
         );
 
         // K2: dX chunk; dlogits exists only inside packed panels.
-        gemm_windows_on(
+        gemm(
             p,
+            path,
             Layout::Nt,
             1.0,
             logits,
             w.as_slice(),
             &mut ws.dx.as_mut_slice()[c0 * h..(c0 + rows) * h],
-            rows,
-            v,
-            h,
+            (rows, v, h),
             Prologue::softmax_grad(SoftmaxGradSpec {
                 lse: &ws.lse[c0..c0 + rows],
                 targets: &targets[c0..c0 + rows],
                 scale,
             }),
             Epilogue::Overwrite,
+            None,
         )?;
         c0 += rows;
     }
@@ -348,20 +339,20 @@ pub fn reference_linear_ce_into(
     ws.peak_logits_elems = 2 * m * v;
     let scale = if m == 0 { 0.0 } else { 1.0 / m as f32 };
 
-    let p = pool::current();
+    let (p, path) = (pool::current(), simd::active_path());
     // Pass 1: full logits GEMM.
-    gemm_windows_on(
+    gemm(
         p,
+        path,
         Layout::Nn,
         1.0,
         x.as_slice(),
         w.as_slice(),
         ws.logits.as_mut_slice(),
-        m,
-        h,
-        v,
+        (m, h, v),
         Prologue::none(),
         Epilogue::Overwrite,
+        None,
     )?;
     // Pass 2: per-row max via a linear scan (the fused path's folded
     // block partials equal this bit for bit — the chunk-merge contract).
@@ -376,7 +367,6 @@ pub fn reference_linear_ce_into(
     // pack-prologue calls (with its `alpha = 1`), one whole row at a time.
     {
         let (logits, lse) = (&ws.logits, &ws.lse);
-        let path = lorafusion_tensor::simd::active_path();
         let rows_per_task = m.div_ceil(p.threads().max(1)).max(1);
         pool::parallel_chunks_mut(
             p,
@@ -400,18 +390,18 @@ pub fn reference_linear_ce_into(
         );
     }
     // Pass 6: plain dX GEMM from the materialized gradient.
-    gemm_windows_on(
+    gemm(
         p,
+        path,
         Layout::Nt,
         1.0,
         ws.dlogits.as_slice(),
         w.as_slice(),
         ws.dx.as_mut_slice(),
-        m,
-        v,
-        h,
+        (m, v, h),
         Prologue::none(),
         Epilogue::Overwrite,
+        None,
     )?;
     ws.mean_loss = mean_loss(&ws.losses);
     Ok(())

@@ -11,6 +11,7 @@
 //! field.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use lorafusion_gpu::{KernelClass, KernelProfile};
 use lorafusion_tensor::pool;
@@ -307,22 +308,24 @@ pub fn backward_profiles(
     ]
 }
 
-/// Shareable raw pointer into a batch tensor whose *disjoint row windows*
-/// are handed to per-segment tasks. Safety rests on
-/// [`validate_segments`]: segments are contiguous, ordered and
-/// non-overlapping, so no two tasks ever touch the same element.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: tasks only write the disjoint row windows assigned to them by
-// `validate_segments`, and the allocation outlives the pool scope.
-unsafe impl Send for SendPtr {}
-// SAFETY: shared references only hand out the raw pointer; every
-// dereference targets a per-task disjoint window, so no data race.
-unsafe impl Sync for SendPtr {}
-impl SendPtr {
-    fn get(self) -> *mut f32 {
-        self.0
-    }
+/// Splits the row-major batch tensor `data` (`width` columns) into one
+/// mutable row window per segment, each behind its own lock, so the
+/// per-segment task `idx` of a `parallel_map` takes window `idx`. The
+/// segments must have passed [`validate_segments`] for `data`'s rows:
+/// contiguous and ordered, so the windows tile `data` in order.
+fn segment_windows<'a>(
+    mut data: &'a mut [f32],
+    segments: &[Segment],
+    width: usize,
+) -> Vec<Mutex<&'a mut [f32]>> {
+    segments
+        .iter()
+        .map(|seg| {
+            let (window, rest) = std::mem::take(&mut data).split_at_mut(seg.len() * width);
+            data = rest;
+            Mutex::new(window)
+        })
+        .collect()
 }
 
 /// Functional + profiled multi-adapter forward pass.
@@ -351,7 +354,7 @@ pub fn forward(
     // inline on the worker (nested dispatch), so outputs are identical at
     // any thread count.
     let xs = x.as_slice();
-    let y_ptr = SendPtr(y.as_mut_slice().as_mut_ptr());
+    let y_windows = segment_windows(y.as_mut_slice(), segments, n);
     let current = pool::current();
     let per_segment = pool::parallel_map(current, segments.len(), |idx| -> Result<_> {
         let seg = &segments[idx];
@@ -361,10 +364,9 @@ pub fn forward(
         let rows = seg.len();
         let mut x_hat = Matrix::zeros(rows, k);
         let mut s = Matrix::zeros(rows, adapter.config.rank);
-        // SAFETY: `validate_segments` guarantees the windows are disjoint
-        // and in-bounds, and `y` outlives the parallel map.
-        let y_win =
-            unsafe { std::slice::from_raw_parts_mut(y_ptr.get().add(seg.start * n), rows * n) };
+        let mut y_win = y_windows[idx]
+            .lock()
+            .expect("each segment window is locked once, by its own task");
         forward_window(
             current,
             adapter,
@@ -372,7 +374,7 @@ pub fn forward(
             &xs[seg.start * k..seg.end * k],
             &mut x_hat,
             &mut s,
-            y_win,
+            &mut y_win,
         )?;
         Ok((x_hat, s))
     });
@@ -434,7 +436,7 @@ pub fn backward(
     // serially below in segment order, preserving the serial
     // floating-point order exactly.
     let dys = dy.as_slice();
-    let dx_ptr = SendPtr(dx.as_mut_slice().as_mut_ptr());
+    let dx_windows = segment_windows(dx.as_mut_slice(), &saved.segments, k);
     let current = pool::current();
     let per_segment = pool::parallel_map(current, saved.segments.len(), |idx| -> Result<_> {
         let seg = &saved.segments[idx];
@@ -445,10 +447,9 @@ pub fn backward(
         let rows = seg.len();
         let mut ds = Matrix::zeros(rows, r);
         let mut seg_grads = LoraGrads::zeros(k, n, r);
-        // SAFETY: `validate_segments` guarantees the windows are disjoint
-        // and in-bounds, and `dx` outlives the parallel map.
-        let dx_win =
-            unsafe { std::slice::from_raw_parts_mut(dx_ptr.get().add(seg.start * k), rows * k) };
+        let mut dx_win = dx_windows[idx]
+            .lock()
+            .expect("each segment window is locked once, by its own task");
         backward_window(
             current,
             adapter,
@@ -457,7 +458,7 @@ pub fn backward(
             &saved.x_hats[idx],
             &saved.s[idx],
             &mut ds,
-            dx_win,
+            &mut dx_win,
             &mut seg_grads.da,
             &mut seg_grads.db,
         )?;

@@ -1,11 +1,13 @@
-//! Steady-state allocation gate for the single-adapter fused executor.
+//! Steady-state allocation gate for the single-adapter fused executor and
+//! the chunked fused loss head.
 //!
 //! A forward+backward step through [`Workspace`] must not touch the heap
 //! once warmed up: workspace tensors are `resize`d in place, GEMM packing
 //! buffers come from the thread-local arena, and the serial pool path
-//! dispatches inline. This test installs a counting global allocator and
-//! asserts *zero* allocations and *zero* arena growth events for a warmed
-//! step.
+//! dispatches inline. The same holds for a warmed `fused_linear_ce_into`,
+//! whose row-max partials also come from the arena. This file installs a
+//! counting global allocator and asserts *zero* allocations and *zero*
+//! arena growth events for a warmed step of each.
 //!
 //! The step is instrumented with `lorafusion-trace` spans and registry
 //! counters, so this gate also proves the *disabled*-tracing path costs
@@ -23,6 +25,7 @@ use std::cell::Cell;
 
 use lorafusion_gpu::DeviceKind;
 use lorafusion_kernels::fused::Workspace;
+use lorafusion_kernels::loss::{fused_linear_ce_into, LinearCeWorkspace};
 use lorafusion_kernels::{reference, LoraConfig, LoraLayer, TrafficModel};
 use lorafusion_tensor::pool::with_pool;
 use lorafusion_tensor::{Matrix, Pcg32, Pool};
@@ -158,6 +161,40 @@ fn steady_state_step_performs_no_heap_allocation() {
             );
         }
         assert_eq!(ws.y.as_slice(), ref_fwd.y.as_slice());
+    });
+}
+
+/// The chunked fused linear+CE head at a ragged multi-chunk shape (600
+/// tokens in 256-token chunks, so the last chunk is short) allocates
+/// nothing once one call has sized its workspace and the arena.
+#[test]
+fn warmed_loss_head_performs_no_heap_allocation() {
+    let (m, h, v, chunk) = (600, 64, 1000, 256);
+    let mut rng = Pcg32::seeded(11);
+    let x = Matrix::random_gaussian(m, h, 1.0, &mut rng);
+    let w = Matrix::random_gaussian(h, v, 0.5, &mut rng);
+    let targets: Vec<u32> = (0..m).map(|_| rng.next_u32() % v as u32).collect();
+
+    lorafusion_trace::disable();
+    let pool = Pool::new(1);
+    with_pool(&pool, || {
+        let mut ws = LinearCeWorkspace::new();
+        fused_linear_ce_into(&mut ws, &x, &w, &targets, chunk).unwrap();
+        let warm_lse: Vec<u32> = ws.lse.iter().map(|l| l.to_bits()).collect();
+
+        let allocs_before = allocations();
+        let growth_before = lorafusion_tensor::arena::growth_events();
+        fused_linear_ce_into(&mut ws, &x, &w, &targets, chunk).unwrap();
+        let allocs = allocations() - allocs_before;
+        let growth = lorafusion_tensor::arena::growth_events() - growth_before;
+        assert_eq!(
+            allocs, 0,
+            "warmed loss head touched the global allocator {allocs} times"
+        );
+        assert_eq!(growth, 0, "warmed loss head grew the arena {growth} times");
+
+        let lse: Vec<u32> = ws.lse.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(lse, warm_lse, "warmed loss head diverged from its warm-up");
     });
 }
 

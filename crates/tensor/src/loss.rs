@@ -24,8 +24,9 @@
 //! * **Row max folds are grouping-free.** [`row_max`] is an ascending
 //!   [`f32::max`] fold. For inputs without NaN, `max` is an exact
 //!   *selection* (no rounding), so folding per vocab block and merging
-//!   block partials in ascending block order ([`merge_max`]) returns the
-//!   same value as one linear scan. (The one theoretical exception is a
+//!   the block partials in ascending block order (the GEMM's row-max
+//!   sink, [`crate::matmul::gemm`]) returns the same value as one linear
+//!   scan. (The one theoretical exception is a
 //!   row whose maximum is attained by both `+0.0` and `-0.0`, where IEEE
 //!   leaves the returned zero's sign unspecified; the kernels' gates run
 //!   on continuous random data where this has probability zero.)
@@ -60,18 +61,14 @@ use crate::simd;
 
 /// Maximum of a row, folded in ascending index order from
 /// [`f32::NEG_INFINITY`] (the max of an empty row).
+///
+/// Applied to per-block partials in ascending block order, it merges
+/// them: for NaN-free data this equals `row_max` over the concatenated
+/// blocks, because `max` is an exact selection and grouping cannot change
+/// the result.
 #[inline]
 pub fn row_max(xs: &[f32]) -> f32 {
     xs.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v))
-}
-
-/// Merges per-block row-max partials in ascending block order.
-///
-/// For NaN-free data this equals [`row_max`] over the concatenated blocks:
-/// `max` is an exact selection, so grouping cannot change the result.
-#[inline]
-pub fn merge_max(partials: &[f32]) -> f32 {
-    row_max(partials)
 }
 
 /// Block length of the vectorized exponentials in [`row_sum_exp`] and of
@@ -192,7 +189,7 @@ mod tests {
             let want = row_max(&row);
             for block in [1usize, 3, 16, 100, len] {
                 let partials: Vec<f32> = row.chunks(block).map(row_max).collect();
-                let got = merge_max(&partials);
+                let got = row_max(&partials);
                 assert_eq!(got.to_bits(), want.to_bits(), "len {len} block {block}");
             }
         }

@@ -16,11 +16,23 @@
 //! with *no* standalone full-tensor elementwise passes, while remaining
 //! bitwise-equal to the multi-pass compositions they replace.
 //!
-//! This module owns shape checking and the public API; the compute path —
-//! pack-once operand panels, the `MR x NR` register-tiled microkernel, and
-//! the 2D macro-tile grid that the worker pool parallelizes over — lives in
-//! [`crate::microkernel`]. See that module for the blocking scheme and the
-//! proof sketch of why results are bitwise-identical at any thread count.
+//! This module owns argument checking, the per-call trace span and
+//! counters, and the public API, which is one checked entry plus thin
+//! wrappers:
+//!
+//! * [`gemm`] — the slice-level entry with an explicit pool and
+//!   microkernel spelling, every fusion hook, and an optional per-row
+//!   maximum of the output (the loss head's row-max sink);
+//! * [`gemm_fused`] — the same on [`Matrix`] operands with shape checks,
+//!   the current pool and the active spelling;
+//! * [`matmul_nn`], [`matmul_nt`], [`matmul_tn`] — a plain product as a new
+//!   matrix.
+//!
+//! The compute path — pack-once operand panels, the `MR x NR`
+//! register-tiled microkernel, and the 2D macro-tile grid that the worker
+//! pool parallelizes over — lives in [`crate::microkernel`]. See that
+//! module for the blocking scheme and the proof sketch of why results are
+//! bitwise-identical at any thread count.
 
 use crate::error::TensorError;
 use crate::microkernel;
@@ -105,26 +117,6 @@ fn count_dispatch(path: SimdPath) {
     }
 }
 
-/// Accumulation mode for a GEMM call — the pre-fusion subset of
-/// [`Epilogue`], kept as the concise spelling for the common cases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Accumulate {
-    /// Overwrite the output (`beta = 0`). The zeroing is folded into the
-    /// tile store, not a separate sweep over `C`.
-    Overwrite,
-    /// Add into the existing output (`beta = 1`).
-    Add,
-}
-
-impl From<Accumulate> for Epilogue {
-    fn from(acc: Accumulate) -> Epilogue {
-        match acc {
-            Accumulate::Overwrite => Epilogue::Overwrite,
-            Accumulate::Add => Epilogue::Add,
-        }
-    }
-}
-
 /// Validates the fusion hooks of a GEMM call: dropout probabilities in
 /// range, the emit buffer exactly as long as the `A` operand, and the
 /// softmax-grad prologue alone on a row-major `A` (no dropout, no emit,
@@ -192,250 +184,59 @@ fn check_fusion(
     Ok(())
 }
 
-fn check_shapes(
-    op: &'static str,
-    out_op: &'static str,
-    a: &Matrix,
-    b: &Matrix,
-    c: &Matrix,
-    expect_inner: (usize, usize),
-    expect_out: (usize, usize),
-) -> Result<()> {
-    if expect_inner.0 != expect_inner.1 {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    if c.shape() != expect_out {
-        return Err(TensorError::ShapeMismatch {
-            op: out_op,
-            lhs: expect_out,
-            rhs: c.shape(),
-        });
-    }
-    Ok(())
-}
-
-/// Computes one fused GEMM `C = epilogue(alpha * prologue(A)' @ B')` on
-/// `pool`, with operands interpreted per `layout`.
+/// Computes one fused GEMM `C = epilogue(alpha * prologue(A)' @ B')` over
+/// row-major slices on `pool` with the microkernel spelling `path`: the
+/// one checked GEMM entry, which every other call in the workspace goes
+/// through.
 ///
-/// This is the full-surface entry point; the `gemm_{nn,nt,tn}*` helpers are
-/// thin wrappers. `prologue.emit`, when present, must have exactly
-/// `a.len()` elements and receives the post-dropout `A` operand in the
-/// source's own layout.
+/// `(m, k, n)` is the product shape: `a` holds the `m x k` operand
+/// (`k x m` under [`Layout::Tn`]), `b` the `k x n` one (`n x k` under
+/// [`Layout::Nt`]) and `c` the `m x n` output. The slices may be row
+/// windows of larger row-major tensors (`&x[start * k..end * k]`): a row
+/// window is contiguous, and a `DropoutSpec::row_offset` in the prologue
+/// or epilogue keeps the realized mask identical to the whole-batch one,
+/// which is how the multi-LoRA executor and the chunked loss head run
+/// per-segment and per-chunk GEMMs without copies. `prologue.emit`, when
+/// present, must have exactly `a.len()` elements and receives the
+/// post-dropout `A` operand in the source's own layout.
+///
+/// `row_max`, when present, must have one slot per output row and
+/// receives the maximum of each row as stored, folded while each tile is
+/// register-hot — the streaming-max hook of the chunked fused
+/// linear+cross-entropy, whose LSE pass then reads each logits row once
+/// instead of twice. For NaN-free data it is bitwise the linear scan
+/// [`crate::loss::row_max`] at every thread count; a row with no columns
+/// gets `-inf`.
+///
+/// `path` must be supported on this host ([`SimdPath::is_supported`]).
+/// Production callers pass [`simd::active_path`]; tests and the dual-path
+/// bench gate pass each [`simd::supported_paths`] spelling to run them
+/// all in one process, where flipping the `LORAFUSION_SIMD` env var is
+/// unreliable.
+///
+/// A slice whose length disagrees with `(m, k, n)` is a
+/// [`TensorError::LengthMismatch`], as are mis-sized fusion tables; an
+/// invalid dropout probability or softmax-grad combination is a
+/// [`TensorError::InvalidParameter`].
 #[allow(clippy::too_many_arguments)] // the full fused-GEMM surface
-pub fn gemm_fused_on(
-    pool: &Pool,
-    layout: Layout,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    prologue: Prologue<'_>,
-    epilogue: Epilogue,
-) -> Result<()> {
-    gemm_fused_on_path(
-        pool,
-        simd::active_path(),
-        layout,
-        alpha,
-        a,
-        b,
-        c,
-        prologue,
-        epilogue,
-    )
-}
-
-/// [`gemm_fused_on`] with an explicit microkernel spelling instead of the
-/// process-wide [`simd::active_path`]. `path` must be supported on this
-/// host ([`SimdPath::is_supported`]); tests and the dual-path bench gate
-/// use this to run every [`simd::supported_paths`] spelling inside one
-/// process, where flipping the `LORAFUSION_SIMD` env var is unreliable.
-#[allow(clippy::too_many_arguments)] // the full fused-GEMM surface
-pub fn gemm_fused_on_path(
+pub fn gemm(
     pool: &Pool,
     path: SimdPath,
     layout: Layout,
     alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    prologue: Prologue<'_>,
-    epilogue: Epilogue,
-) -> Result<()> {
-    let (op, out_op, m, k, kb, n) = match layout {
-        Layout::Nn => (
-            "gemm_nn",
-            "gemm_nn_out",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols(),
-        ),
-        Layout::Nt => (
-            "gemm_nt",
-            "gemm_nt_out",
-            a.rows(),
-            a.cols(),
-            b.cols(),
-            b.rows(),
-        ),
-        Layout::Tn => (
-            "gemm_tn",
-            "gemm_tn_out",
-            a.cols(),
-            a.rows(),
-            b.rows(),
-            b.cols(),
-        ),
-    };
-    check_shapes(op, out_op, a, b, c, (k, kb), (m, n))?;
-    check_fusion(layout, &prologue, &epilogue, a.len(), m, k)?;
-    let _span = gemm_trace(layout, m, k, n);
-    count_dispatch(path);
-    microkernel::gemm(
-        pool,
-        path,
-        layout,
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-        m,
-        k,
-        n,
-        prologue,
-        epilogue,
-        None,
-    );
-    Ok(())
-}
-
-/// Computes one fused GEMM `C = epilogue(alpha * prologue(A)' @ B')` on
-/// the current pool. See [`gemm_fused_on`].
-pub fn gemm_fused(
-    layout: Layout,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    prologue: Prologue<'_>,
-    epilogue: Epilogue,
-) -> Result<()> {
-    gemm_fused_on(pool::current(), layout, alpha, a, b, c, prologue, epilogue)
-}
-
-/// Slice-level fused GEMM over raw row-major windows.
-///
-/// This is the entry the multi-LoRA executor uses to run per-segment GEMMs
-/// directly on *row windows* of the batch tensors (`&x[start*k..end*k]`)
-/// without copying the window out: a row window of a row-major matrix is
-/// contiguous, and the `DropoutSpec::row_offset` in the prologue/epilogue
-/// keeps the realized mask identical to the whole-batch one. Lengths are
-/// checked against `(m, k, n)` for the given `layout`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_windows_on(
-    pool: &Pool,
-    layout: Layout,
-    alpha: f32,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    (m, k, n): (usize, usize, usize),
     prologue: Prologue<'_>,
     epilogue: Epilogue,
-) -> Result<()> {
-    for (len, want) in [(a.len(), m * k), (b.len(), k * n), (c.len(), m * n)] {
-        if len != want {
-            return Err(TensorError::LengthMismatch {
-                expected: want,
-                actual: len,
-            });
-        }
-    }
-    check_fusion(layout, &prologue, &epilogue, a.len(), m, k)?;
-    let _span = gemm_trace(layout, m, k, n);
-    let path = simd::active_path();
-    count_dispatch(path);
-    microkernel::gemm(
-        pool, path, layout, alpha, a, b, c, m, k, n, prologue, epilogue, None,
-    );
-    Ok(())
-}
-
-/// Length of the row-max partials buffer for an `m x n` GEMM:
-/// one slot per (output row, [`NC`]-column block) pair.
-pub fn rowmax_partials_len(m: usize, n: usize) -> usize {
-    n.div_ceil(NC) * m
-}
-
-/// Merges `[j_blocks x m]` row-max partials (as produced by
-/// [`gemm_windows_rowmax_on`]) into per-row maxima, folding blocks in
-/// ascending `j`-block order from [`f32::NEG_INFINITY`].
-///
-/// `max` is an exact selection, so for NaN-free data the result is
-/// bitwise-identical to a linear scan of each full output row (see
-/// `crate::loss` for the chunk-merge contract).
-pub fn fold_rowmax_partials(partials: &[f32], m: usize, n: usize, out: &mut [f32]) -> Result<()> {
-    let j_blocks = n.div_ceil(NC);
-    if partials.len() != j_blocks * m {
-        return Err(TensorError::LengthMismatch {
-            expected: j_blocks * m,
-            actual: partials.len(),
-        });
-    }
-    if out.len() != m {
-        return Err(TensorError::LengthMismatch {
-            expected: m,
-            actual: out.len(),
-        });
-    }
-    for o in out.iter_mut() {
-        *o = f32::NEG_INFINITY;
-    }
-    for bj in 0..j_blocks {
-        let col = &partials[bj * m..(bj + 1) * m];
-        for (o, &p) in out.iter_mut().zip(col) {
-            *o = o.max(p);
-        }
-    }
-    Ok(())
-}
-
-/// [`gemm_windows_on`] that additionally folds the per-row maximum of the
-/// stored output into `rowmax_partials` while each tile is register-hot —
-/// the streaming-max hook of the chunked fused linear+cross-entropy
-/// (the logits GEMM produces its own row-max reduction for free, so the
-/// LSE pass reads each logits row once instead of twice).
-///
-/// `rowmax_partials` must have exactly [`rowmax_partials_len`]`(m, n)`
-/// elements; every cell is (re)written by the call. Merge with
-/// [`fold_rowmax_partials`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_windows_rowmax_on(
-    pool: &Pool,
-    layout: Layout,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    prologue: Prologue<'_>,
-    epilogue: Epilogue,
-    rowmax_partials: &mut [f32],
+    row_max: Option<&mut [f32]>,
 ) -> Result<()> {
     for (len, want) in [
         (a.len(), m * k),
         (b.len(), k * n),
         (c.len(), m * n),
-        (rowmax_partials.len(), rowmax_partials_len(m, n)),
+        (row_max.as_ref().map_or(m, |r| r.len()), m),
     ] {
         if len != want {
             return Err(TensorError::LengthMismatch {
@@ -446,126 +247,92 @@ pub fn gemm_windows_rowmax_on(
     }
     check_fusion(layout, &prologue, &epilogue, a.len(), m, k)?;
     let _span = gemm_trace(layout, m, k, n);
-    let path = simd::active_path();
     count_dispatch(path);
     microkernel::gemm(
-        pool,
-        path,
-        layout,
-        alpha,
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        prologue,
-        epilogue,
-        Some(rowmax_partials),
+        pool, path, layout, alpha, a, b, c, m, k, n, prologue, epilogue, row_max,
     );
     Ok(())
 }
 
-/// Computes `C (+)= alpha * A @ B` on `pool`, where `A` is `m x k` and `B`
-/// is `k x n`.
-pub fn gemm_nn_on(
-    pool: &Pool,
+/// [`gemm`] on matrix operands, on the current pool and the active SIMD
+/// spelling, without a row-max output.
+///
+/// Shapes are checked per `layout`: a reduction dimension that `a` and `b`
+/// disagree on is a [`TensorError::ShapeMismatch`] named `gemm_nn`,
+/// `gemm_nt` or `gemm_tn`, and a `c` of the wrong shape one named
+/// `gemm_nn_out`, `gemm_nt_out` or `gemm_tn_out`.
+pub fn gemm_fused(
+    layout: Layout,
     alpha: f32,
     a: &Matrix,
     b: &Matrix,
     c: &mut Matrix,
-    acc: Accumulate,
+    prologue: Prologue<'_>,
+    epilogue: Epilogue,
 ) -> Result<()> {
-    gemm_fused_on(
-        pool,
-        Layout::Nn,
+    let (op, out_op, (m, k), (kb, n)) = match layout {
+        Layout::Nn => ("gemm_nn", "gemm_nn_out", a.shape(), b.shape()),
+        Layout::Nt => ("gemm_nt", "gemm_nt_out", a.shape(), (b.cols(), b.rows())),
+        Layout::Tn => ("gemm_tn", "gemm_tn_out", (a.cols(), a.rows()), b.shape()),
+    };
+    if k != kb {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: a.shape(),
+            rhs: b.shape(),
+        });
+    }
+    if c.shape() != (m, n) {
+        return Err(TensorError::ShapeMismatch {
+            op: out_op,
+            lhs: (m, n),
+            rhs: c.shape(),
+        });
+    }
+    gemm(
+        pool::current(),
+        simd::active_path(),
+        layout,
         alpha,
-        a,
-        b,
-        c,
-        Prologue::none(),
-        acc.into(),
+        a.as_slice(),
+        b.as_slice(),
+        c.as_mut_slice(),
+        (m, k, n),
+        prologue,
+        epilogue,
+        None,
     )
 }
 
-/// Computes `C (+)= alpha * A @ Bᵀ` on `pool`, where `A` is `m x k` and `B`
-/// is `n x k`.
-pub fn gemm_nt_on(
-    pool: &Pool,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    acc: Accumulate,
-) -> Result<()> {
-    gemm_fused_on(
-        pool,
-        Layout::Nt,
-        alpha,
+/// Returns the `rows x cols` product `A' @ B'` under `layout` as a new
+/// matrix.
+fn matmul(layout: Layout, a: &Matrix, b: &Matrix, rows: usize, cols: usize) -> Result<Matrix> {
+    let mut c = Matrix::zeros(rows, cols);
+    gemm_fused(
+        layout,
+        1.0,
         a,
         b,
-        c,
+        &mut c,
         Prologue::none(),
-        acc.into(),
-    )
-}
-
-/// Computes `C (+)= alpha * Aᵀ @ B` on `pool`, where `A` is `k x m` and `B`
-/// is `k x n`.
-pub fn gemm_tn_on(
-    pool: &Pool,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    acc: Accumulate,
-) -> Result<()> {
-    gemm_fused_on(
-        pool,
-        Layout::Tn,
-        alpha,
-        a,
-        b,
-        c,
-        Prologue::none(),
-        acc.into(),
-    )
-}
-
-/// Computes `C (+)= alpha * A @ B` on the current pool.
-pub fn gemm_nn(alpha: f32, a: &Matrix, b: &Matrix, c: &mut Matrix, acc: Accumulate) -> Result<()> {
-    gemm_nn_on(pool::current(), alpha, a, b, c, acc)
-}
-
-/// Computes `C (+)= alpha * A @ Bᵀ` on the current pool.
-pub fn gemm_nt(alpha: f32, a: &Matrix, b: &Matrix, c: &mut Matrix, acc: Accumulate) -> Result<()> {
-    gemm_nt_on(pool::current(), alpha, a, b, c, acc)
-}
-
-/// Computes `C (+)= alpha * Aᵀ @ B` on the current pool.
-pub fn gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, c: &mut Matrix, acc: Accumulate) -> Result<()> {
-    gemm_tn_on(pool::current(), alpha, a, b, c, acc)
+        Epilogue::Overwrite,
+    )?;
+    Ok(c)
 }
 
 /// Returns `A @ B` as a new matrix.
 pub fn matmul_nn(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_nn(1.0, a, b, &mut c, Accumulate::Overwrite)?;
-    Ok(c)
+    matmul(Layout::Nn, a, b, a.rows(), b.cols())
 }
 
 /// Returns `A @ Bᵀ` as a new matrix.
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let mut c = Matrix::zeros(a.rows(), b.rows());
-    gemm_nt(1.0, a, b, &mut c, Accumulate::Overwrite)?;
-    Ok(c)
+    matmul(Layout::Nt, a, b, a.rows(), b.rows())
 }
 
 /// Returns `Aᵀ @ B` as a new matrix.
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let mut c = Matrix::zeros(a.cols(), b.cols());
-    gemm_tn(1.0, a, b, &mut c, Accumulate::Overwrite)?;
-    Ok(c)
+    matmul(Layout::Tn, a, b, a.cols(), b.cols())
 }
 
 #[cfg(test)]
@@ -640,7 +407,16 @@ mod tests {
         let b = Matrix::random_uniform(8, 8, 1.0, &mut rng);
         let base = Matrix::full(8, 8, 3.0);
         let mut c = base.clone();
-        gemm_nn(2.0, &a, &b, &mut c, Accumulate::Add).unwrap();
+        gemm_fused(
+            Layout::Nn,
+            2.0,
+            &a,
+            &b,
+            &mut c,
+            Prologue::none(),
+            Epilogue::Add,
+        )
+        .unwrap();
         let prod = matmul_nn(&a, &b).unwrap();
         for i in 0..8 {
             for j in 0..8 {
@@ -650,7 +426,7 @@ mod tests {
         }
     }
 
-    /// Regression for the folded zeroing: `Accumulate::Overwrite` must
+    /// Regression for the folded zeroing: `Epilogue::Overwrite` must
     /// fully replace stale output contents — including NaN, which an
     /// accidental `+=` would smear into every element.
     #[test]
@@ -659,19 +435,95 @@ mod tests {
         for &(m, k, n) in &[(5, 7, 9), (1, 0, 4), (MR + 1, KC + 1, NR + 1)] {
             let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
             let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
-            let mut fresh = Matrix::zeros(m, n);
-            gemm_nn(1.0, &a, &b, &mut fresh, Accumulate::Overwrite).unwrap();
+            let fresh = matmul_nn(&a, &b).unwrap();
             let mut poisoned = Matrix::full(m, n, f32::NAN);
-            gemm_nn(1.0, &a, &b, &mut poisoned, Accumulate::Overwrite).unwrap();
+            gemm_fused(
+                Layout::Nn,
+                1.0,
+                &a,
+                &b,
+                &mut poisoned,
+                Prologue::none(),
+                Epilogue::Overwrite,
+            )
+            .unwrap();
             assert!(bitwise_eq(&fresh, &poisoned), "{m}x{k}x{n}");
         }
     }
 
+    /// Matrix operands report the mismatched layout or output by name;
+    /// slices and the row-max output report the length they should have.
     #[test]
     fn shape_mismatch_is_reported() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 2);
-        assert!(matmul_nn(&a, &b).is_err());
+        assert!(matches!(
+            matmul_nn(&a, &b),
+            Err(TensorError::ShapeMismatch { op: "gemm_nn", .. })
+        ));
+        let mut c = Matrix::zeros(3, 2);
+        assert!(matches!(
+            gemm_fused(
+                Layout::Nt,
+                1.0,
+                &a,
+                &b.transpose(),
+                &mut c,
+                Prologue::none(),
+                Epilogue::Overwrite
+            ),
+            Err(TensorError::ShapeMismatch { op: "gemm_nt", .. })
+        ));
+        let b = Matrix::zeros(3, 2);
+        assert!(matches!(
+            gemm_fused(
+                Layout::Nn,
+                1.0,
+                &a,
+                &b,
+                &mut c,
+                Prologue::none(),
+                Epilogue::Overwrite
+            ),
+            Err(TensorError::ShapeMismatch {
+                op: "gemm_nn_out",
+                ..
+            })
+        ));
+
+        let pool = Pool::new(1);
+        let mut out = vec![0.0f32; 4];
+        let mut maxes = vec![0.0f32; 1];
+        let slices = |c: &mut [f32], row_max: Option<&mut [f32]>| {
+            gemm(
+                &pool,
+                simd::active_path(),
+                Layout::Nn,
+                1.0,
+                a.as_slice(),
+                b.as_slice(),
+                c,
+                (2, 3, 2),
+                Prologue::none(),
+                Epilogue::Overwrite,
+                row_max,
+            )
+        };
+        assert!(slices(&mut out, None).is_ok());
+        assert!(matches!(
+            slices(&mut out[..3], None),
+            Err(TensorError::LengthMismatch {
+                expected: 4,
+                actual: 3
+            })
+        ));
+        assert!(matches!(
+            slices(&mut out, Some(&mut maxes)),
+            Err(TensorError::LengthMismatch {
+                expected: 2,
+                actual: 1
+            })
+        ));
     }
 
     #[test]
@@ -711,10 +563,15 @@ mod tests {
 
     /// The row-max sink must reproduce a linear scan of each output row,
     /// bit for bit, at every thread count and for non-block-multiple
-    /// shapes.
+    /// shapes; a row with no columns gets `-inf`.
     #[test]
     fn rowmax_sink_matches_linear_scan() {
-        let shapes = [(5usize, 9usize, 17usize), (65, 33, NC + 13), (1, 4, 2 * NC)];
+        let shapes = [
+            (5usize, 9usize, 17usize),
+            (65, 33, NC + 13),
+            (1, 4, 2 * NC),
+            (3, 4, 0),
+        ];
         for threads in [1usize, 2, 4] {
             let pool = Pool::new(threads);
             for (seed, &(m, k, n)) in shapes.iter().enumerate() {
@@ -722,24 +579,21 @@ mod tests {
                 let a = Matrix::random_gaussian(m, k, 1.0, &mut rng);
                 let b = Matrix::random_gaussian(k, n, 1.0, &mut rng);
                 let mut c = vec![0.0f32; m * n];
-                let mut partials = vec![f32::NAN; rowmax_partials_len(m, n)];
-                gemm_windows_rowmax_on(
+                let mut maxes = vec![f32::NAN; m];
+                gemm(
                     &pool,
+                    simd::active_path(),
                     Layout::Nn,
                     1.0,
                     a.as_slice(),
                     b.as_slice(),
                     &mut c,
-                    m,
-                    k,
-                    n,
+                    (m, k, n),
                     Prologue::none(),
                     Epilogue::Overwrite,
-                    &mut partials,
+                    Some(&mut maxes),
                 )
                 .unwrap();
-                let mut maxes = vec![0.0f32; m];
-                fold_rowmax_partials(&partials, m, n, &mut maxes).unwrap();
                 for i in 0..m {
                     let want = crate::loss::row_max(&c[i * n..(i + 1) * n]);
                     assert_eq!(
@@ -799,16 +653,18 @@ mod tests {
             for &path in simd::supported_paths() {
                 for (layout, b) in [(Layout::Nn, &w), (Layout::Nt, &w_t)] {
                     let mut got = Matrix::zeros(m, h);
-                    gemm_fused_on_path(
+                    gemm(
                         &pool,
                         path,
                         layout,
                         1.0,
-                        &logits,
-                        b,
-                        &mut got,
+                        logits.as_slice(),
+                        b.as_slice(),
+                        got.as_mut_slice(),
+                        (m, v, h),
                         Prologue::softmax_grad(spec),
                         Epilogue::Overwrite,
+                        None,
                     )
                     .unwrap();
                     assert!(bitwise_eq(&want, &got), "{path:?} {layout:?} t={threads}");
@@ -835,7 +691,6 @@ mod tests {
             targets: &targets,
             scale: 1.0,
         };
-        let pool = Pool::new(1);
         let invalid = |r: Result<()>| {
             matches!(
                 r,
@@ -848,8 +703,7 @@ mod tests {
             lse: &short_lse,
             ..spec
         });
-        assert!(invalid(gemm_fused_on(
-            &pool,
+        assert!(invalid(gemm_fused(
             Layout::Nn,
             1.0,
             &logits,
@@ -864,8 +718,7 @@ mod tests {
             targets: &oob,
             ..spec
         });
-        assert!(invalid(gemm_fused_on(
-            &pool,
+        assert!(invalid(gemm_fused(
             Layout::Nn,
             1.0,
             &logits,
@@ -879,8 +732,7 @@ mod tests {
             dropout: Some(crate::dropout::DropoutSpec::new(0.5, 1)),
             ..Prologue::softmax_grad(spec)
         };
-        assert!(invalid(gemm_fused_on(
-            &pool,
+        assert!(invalid(gemm_fused(
             Layout::Nn,
             1.0,
             &logits,
@@ -896,8 +748,7 @@ mod tests {
             ..Prologue::softmax_grad(spec)
         };
         assert!(matches!(
-            gemm_fused_on(
-                &pool,
+            gemm_fused(
                 Layout::Nn,
                 1.0,
                 &logits,
@@ -913,8 +764,7 @@ mod tests {
         // it used to pack the same product.
         let logits_t = logits.transpose();
         assert!(matches!(
-            gemm_fused_on(
-                &pool,
+            gemm_fused(
                 Layout::Tn,
                 1.0,
                 &logits_t,
@@ -925,41 +775,5 @@ mod tests {
             ),
             Err(TensorError::InvalidParameter { .. })
         ));
-    }
-
-    /// Parallel GEMMs must be bitwise-identical to the 1-thread path for
-    /// every layout, including shapes that are not block multiples.
-    #[test]
-    fn parallel_is_bitwise_identical_to_serial() {
-        let shapes = [(65, 33, 17), (1, 40, 9), (8, 1, 8), (130, 70, 257)];
-        let serial = Pool::new(1);
-        for threads in [2usize, 4, 8] {
-            let par = Pool::new(threads);
-            for (seed, &(m, k, n)) in shapes.iter().enumerate() {
-                let mut rng = Pcg32::seeded(100 + seed as u64);
-                let a = Matrix::random_gaussian(m, k, 1.0, &mut rng);
-                let b = Matrix::random_gaussian(k, n, 1.0, &mut rng);
-                let bt = b.transpose();
-                let at = a.transpose();
-
-                let mut c_ser = Matrix::zeros(m, n);
-                let mut c_par = Matrix::zeros(m, n);
-                gemm_nn_on(&serial, 1.5, &a, &b, &mut c_ser, Accumulate::Overwrite).unwrap();
-                gemm_nn_on(&par, 1.5, &a, &b, &mut c_par, Accumulate::Overwrite).unwrap();
-                assert!(bitwise_eq(&c_ser, &c_par), "nn {m}x{k}x{n} t={threads}");
-
-                let mut c_ser = Matrix::zeros(m, n);
-                let mut c_par = Matrix::zeros(m, n);
-                gemm_nt_on(&serial, 0.7, &a, &bt, &mut c_ser, Accumulate::Overwrite).unwrap();
-                gemm_nt_on(&par, 0.7, &a, &bt, &mut c_par, Accumulate::Overwrite).unwrap();
-                assert!(bitwise_eq(&c_ser, &c_par), "nt {m}x{k}x{n} t={threads}");
-
-                let mut c_ser = Matrix::zeros(m, n);
-                let mut c_par = Matrix::zeros(m, n);
-                gemm_tn_on(&serial, -1.1, &at, &b, &mut c_ser, Accumulate::Overwrite).unwrap();
-                gemm_tn_on(&par, -1.1, &at, &b, &mut c_par, Accumulate::Overwrite).unwrap();
-                assert!(bitwise_eq(&c_ser, &c_par), "tn {m}x{k}x{n} t={threads}");
-            }
-        }
     }
 }

@@ -33,7 +33,9 @@
 //!    while the values are still in registers: overwrite, accumulate,
 //!    scale-by-alpha, or accumulate-through-a-dropout-mask. This is what
 //!    lets the LoRA executors drop their standalone `scale` / `hadamard` /
-//!    `add` full-tensor passes.
+//!    `add` full-tensor passes. The store can also fold each stored row's
+//!    maximum into per-column-block partials, which `gemm` merges into a
+//!    per-row maximum: the row-max sink of the chunked loss head.
 //! 3. **2D macro-tiles.** Parallelism is over an `(i-block, j-block)` grid
 //!    of [`MC`]` x `[`NC`] output tiles rather than row ranges, so skinny
 //!    LoRA shapes (`m x k x r` and `r x k x n` with rank `r` in 16..=64,
@@ -783,14 +785,15 @@ fn macro_tile(
 /// the epilogue is still applied (`Overwrite` clears, `Add` is a no-op in
 /// value but keeps the composition's `c + 0.0` semantics).
 ///
-/// `rowmax`, when present, is a `[j_blocks x m]` partials buffer
-/// (`j_blocks = n.div_ceil(NC)`): cell `bj * m + row` receives the max of
-/// the *stored* values of output row `row` within column block `bj`,
-/// computed in the store epilogue while the tile is register-hot. Each
-/// cell is written by exactly one macro-tile task, and
-/// `matmul::fold_rowmax_partials` merges the blocks in ascending order —
-/// max is grouping-free, so the result equals a linear row scan at every
-/// thread count.
+/// `row_max`, when present, has one slot per output row and receives the
+/// maximum of that row's *stored* values. The store epilogue writes a
+/// `[j_blocks x m]` partials buffer (`j_blocks = n.div_ceil(NC)`) checked
+/// out of the arena: cell `bj * m + row` receives the max of row `row`
+/// within column block `bj`, computed while the tile is register-hot, and
+/// each cell is written by exactly one macro-tile task. The blocks are
+/// then folded in ascending order from `-inf` — max is grouping-free, so
+/// the result equals a linear row scan at every thread count (the
+/// chunk-merge contract in [`crate::loss`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     pool: &Pool,
@@ -805,26 +808,31 @@ pub(crate) fn gemm(
     n: usize,
     prologue: Prologue<'_>,
     epilogue: Epilogue,
-    rowmax: Option<&mut [f32]>,
+    row_max: Option<&mut [f32]>,
 ) {
+    debug_assert!(
+        row_max.as_ref().is_none_or(|r| r.len() == m),
+        "row_max must have one slot per output row"
+    );
     if m == 0 || n == 0 {
+        if let Some(out) = row_max {
+            out.fill(f32::NEG_INFINITY);
+        }
         return;
     }
     debug_assert!(
         prologue.emit.as_ref().is_none_or(|e| e.len() == av.len()),
         "prologue emit buffer must match the A operand length"
     );
-    debug_assert!(
-        rowmax
-            .as_ref()
-            .is_none_or(|r| r.len() == n.div_ceil(NC) * m),
-        "rowmax partials buffer must be j_blocks x m"
-    );
 
     let a_strips = m.div_ceil(MR);
     let b_strips = n.div_ceil(NR);
+    let j_blocks = n.div_ceil(NC);
     let mut apack = Scratch::take_aligned(a_strips * MR * k);
     let mut bpack = Scratch::take_aligned(b_strips * NR * k);
+    // Checked out after the panels, so the arena's largest-first hand-out
+    // gives this small buffer its smallest cached one.
+    let mut partials = row_max.as_ref().map(|_| Scratch::take(j_blocks * m));
 
     // Keep the `SendPtr` alive on this frame for the whole packing job so
     // `PackFusion`'s raw pointer to it stays valid.
@@ -863,12 +871,11 @@ pub(crate) fn gemm(
     }
 
     let i_blocks = m.div_ceil(MC);
-    let j_blocks = n.div_ceil(NC);
     let apack = apack.as_slice();
     let bpack = bpack.as_slice();
     let cbase = SendPtr(cv.as_mut_ptr());
     let cbase = &cbase;
-    let rowmax_holder = rowmax.map(|r| SendPtr(r.as_mut_ptr()));
+    let rowmax_holder = partials.as_mut().map(|p| SendPtr(p.as_mut_ptr()));
     let rowmax_holder = &rowmax_holder;
     pool.run(i_blocks * j_blocks, &|t| {
         let bi = t / j_blocks;
@@ -893,6 +900,14 @@ pub(crate) fn gemm(
             rowmax_holder.as_ref().map(|h| h.get().wrapping_add(bj * m)),
         );
     });
+    if let (Some(out), Some(partials)) = (row_max, &partials) {
+        out.fill(f32::NEG_INFINITY);
+        for block in partials.chunks_exact(m) {
+            for (o, &p) in out.iter_mut().zip(block) {
+                *o = o.max(p);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Two generators are provided:
 //!
-//! * [`SplitMix64`] — a stateless-friendly mixer, used both as a seeder and
-//!   as the *counter-based* generator behind [`crate::dropout`]. Counter-based
+//! * [`SplitMix64`] — a stateless mixer, the *counter-based* generator
+//!   behind [`crate::dropout`]. Counter-based
 //!   generation (hash of `(seed, index)`) is the same trick Philox-based GPU
 //!   dropout kernels use: the mask for element `i` is a pure function of the
 //!   seed and `i`, so fused and unfused kernels that touch elements in
@@ -11,42 +11,25 @@
 //! * [`Pcg32`] — a small-state sequential generator for weight initialization
 //!   and workload sampling.
 
-/// SplitMix64 generator / mixing function.
+/// The SplitMix64 mixing function, used statelessly.
 ///
 /// The `mix` associated function is the core primitive: a bijective avalanche
-/// mix of a 64-bit word. Sequential use advances an internal counter by the
-/// golden-ratio increment.
+/// mix of a 64-bit word, equal to the output of a sequential SplitMix64
+/// generator whose state was `z` before its step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
+pub struct SplitMix64;
 
 impl SplitMix64 {
-    /// Golden-ratio increment used by the sequential interface.
+    /// Golden-ratio increment `mix` adds before the finalizer.
     pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-    /// Creates a generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Applies the SplitMix64 finalizer to a single word.
+    /// Applies the SplitMix64 increment and finalizer to a single word.
     ///
     /// This is a bijection on `u64` with strong avalanche behaviour, suitable
     /// for counter-based generation: `mix(seed ^ counter_stream)`.
     #[inline]
     pub fn mix(mut z: u64) -> u64 {
         z = z.wrapping_add(Self::GOLDEN_GAMMA);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Returns the next 64-bit output and advances the state.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(Self::GOLDEN_GAMMA);
-        let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
@@ -150,12 +133,14 @@ impl Pcg32 {
 mod tests {
     use super::*;
 
+    /// `mix` is the reference SplitMix64 stream: from state `i * GAMMA`
+    /// it returns the `i + 1`-th output of the generator seeded with 0.
     #[test]
     fn splitmix_is_deterministic() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+        let stream = [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4];
+        for (i, want) in stream.into_iter().enumerate() {
+            let state = (i as u64).wrapping_mul(SplitMix64::GOLDEN_GAMMA);
+            assert_eq!(SplitMix64::mix(state), want);
         }
     }
 

@@ -139,11 +139,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes to `rows x cols` in place, reusing the existing allocation
     /// whenever capacity allows (steady-state workspace reuse performs no
     /// heap allocation and no initializing sweep).
@@ -234,13 +229,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Returns a new matrix with `f` applied to every element.

@@ -19,13 +19,45 @@
 //! matrix on every SIMD spelling the host can run and asserts bitwise
 //! equality with the scalar twin — the `LORAFUSION_SIMD` contract.
 
-use lorafusion_tensor::matmul::{
-    gemm_fused_on, gemm_fused_on_path, gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate, Epilogue,
-    Layout, Prologue, KC, MC, MR, NC, NR,
-};
+use lorafusion_tensor::matmul::{gemm, Epilogue, Layout, Prologue, KC, MC, MR, NC, NR};
 use lorafusion_tensor::ops;
 use lorafusion_tensor::pool::Pool;
-use lorafusion_tensor::{dropout_mask, simd, DropoutSpec, Matrix, Pcg32};
+use lorafusion_tensor::{dropout_mask, simd, DropoutSpec, Matrix, Pcg32, SimdPath};
+
+/// One GEMM through the checked slice-level entry on `pool` and `path`,
+/// with the product shape read off the matrix operands.
+#[allow(clippy::too_many_arguments)] // the entry's surface, on matrices
+fn gemm_on(
+    pool: &Pool,
+    path: SimdPath,
+    layout: Layout,
+    alpha: f32,
+    a: &Matrix,
+    b: &Matrix,
+    c: &mut Matrix,
+    prologue: Prologue<'_>,
+    epilogue: Epilogue,
+) {
+    let (m, n) = c.shape();
+    let k = match layout {
+        Layout::Nn | Layout::Nt => a.cols(),
+        Layout::Tn => a.rows(),
+    };
+    gemm(
+        pool,
+        path,
+        layout,
+        alpha,
+        a.as_slice(),
+        b.as_slice(),
+        c.as_mut_slice(),
+        (m, k, n),
+        prologue,
+        epilogue,
+        None,
+    )
+    .unwrap();
+}
 
 /// Naive `C (+)= alpha * A' @ B'` with per-element ascending-`kk` order and
 /// alpha folded into `A`, matching the engine's single-`k`-block order.
@@ -98,8 +130,8 @@ fn assert_matches(label: &str, got: &Matrix, want: &Matrix, bitwise: bool) {
     }
 }
 
-/// Runs one (shape, layout, accumulate) case on `pool` and checks it
-/// against the naive reference.
+/// Runs one (shape, layout, overwrite-or-add) case on `pool` and checks
+/// it against the naive reference.
 fn check_case(pool: &Pool, m: usize, k: usize, n: usize, alpha: f32, seed: u64) {
     let mut rng = Pcg32::seeded(seed);
     let a = Matrix::random_gaussian(m, k, 1.0, &mut rng);
@@ -113,25 +145,34 @@ fn check_case(pool: &Pool, m: usize, k: usize, n: usize, alpha: f32, seed: u64) 
     let label = format!("{m}x{k}x{n} alpha={alpha}");
 
     for overwrite in [true, false] {
-        let acc = if overwrite {
-            Accumulate::Overwrite
+        let epilogue = if overwrite {
+            Epilogue::Overwrite
         } else {
-            Accumulate::Add
+            Epilogue::Add
         };
         let mut want = base.clone();
         naive(alpha, &a, &b, &mut want, false, false, overwrite);
 
-        let mut c = base.clone();
-        gemm_nn_on(pool, alpha, &a, &b, &mut c, acc).unwrap();
-        assert_matches(&format!("nn {label} ow={overwrite}"), &c, &want, bitwise);
-
-        let mut c = base.clone();
-        gemm_nt_on(pool, alpha, &a, &bt, &mut c, acc).unwrap();
-        assert_matches(&format!("nt {label} ow={overwrite}"), &c, &want, bitwise);
-
-        let mut c = base.clone();
-        gemm_tn_on(pool, alpha, &at, &b, &mut c, acc).unwrap();
-        assert_matches(&format!("tn {label} ow={overwrite}"), &c, &want, bitwise);
+        for (layout, a, b) in [
+            (Layout::Nn, &a, &b),
+            (Layout::Nt, &a, &bt),
+            (Layout::Tn, &at, &b),
+        ] {
+            let mut c = base.clone();
+            gemm_on(
+                pool,
+                simd::active_path(),
+                layout,
+                alpha,
+                a,
+                b,
+                &mut c,
+                Prologue::none(),
+                epilogue,
+            );
+            let tag = layout.tag();
+            assert_matches(&format!("{tag} {label} ow={overwrite}"), &c, &want, bitwise);
+        }
     }
 }
 
@@ -149,6 +190,10 @@ fn edge_shapes() -> Vec<(usize, usize, usize)> {
         (MC - 1, 2 * KC, NC - 1),
         (16, 70, 257), // 16-row weight-gradient-like shape
         (33, KC + KC / 2, 16),
+        (65, 33, 17),
+        (1, 40, 9),
+        (8, 1, 8),
+        (130, 70, 257),
     ]
 }
 
@@ -221,8 +266,9 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
         // compositions below are the multi-pass spellings each epilogue
         // replaces.
         let mut p = Matrix::zeros(m, n);
-        gemm_fused_on(
+        gemm_on(
             pool,
+            simd::active_path(),
             layout,
             alpha,
             &a,
@@ -230,14 +276,14 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
             &mut p,
             Prologue::none(),
             Epilogue::Overwrite,
-        )
-        .unwrap();
+        );
 
         // Scaled(s) == scale(s, matmul(...)), even over stale output.
         let want = ops::scale(s, &p);
         let mut got = base.clone();
-        gemm_fused_on(
+        gemm_on(
             pool,
+            simd::active_path(),
             layout,
             alpha,
             &a,
@@ -245,15 +291,15 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
             &mut got,
             Prologue::none(),
             Epilogue::Scaled(s),
-        )
-        .unwrap();
+        );
         assert_matches(&format!("{label} scaled"), &got, &want, true);
 
         // AddScaled(s) == add(C, scale(s, matmul(...))).
         let want = ops::add(&base, &ops::scale(s, &p)).unwrap();
         let mut got = base.clone();
-        gemm_fused_on(
+        gemm_on(
             pool,
+            simd::active_path(),
             layout,
             alpha,
             &a,
@@ -261,16 +307,16 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
             &mut got,
             Prologue::none(),
             Epilogue::AddScaled(s),
-        )
-        .unwrap();
+        );
         assert_matches(&format!("{label} addscaled"), &got, &want, true);
 
         // AddMasked(spec) == add(C, hadamard(matmul(...), mask)).
         let mask = dropout_mask(m, n, &spec).unwrap();
         let want = ops::add(&base, &ops::hadamard(&p, &mask).unwrap()).unwrap();
         let mut got = base.clone();
-        gemm_fused_on(
+        gemm_on(
             pool,
+            simd::active_path(),
             layout,
             alpha,
             &a,
@@ -278,8 +324,7 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
             &mut got,
             Prologue::none(),
             Epilogue::AddMasked(spec),
-        )
-        .unwrap();
+        );
         assert_matches(&format!("{label} addmasked"), &got, &want, true);
 
         // Dropout prologue (+ emit) == matmul(hadamard(A, mask_a), B),
@@ -289,8 +334,9 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
         let amask = dropout_mask(src_rows, src_cols, &spec).unwrap();
         let a_hat = ops::hadamard(&a, &amask).unwrap();
         let mut want = Matrix::zeros(m, n);
-        gemm_fused_on(
+        gemm_on(
             pool,
+            simd::active_path(),
             layout,
             alpha,
             &a_hat,
@@ -298,12 +344,12 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
             &mut want,
             Prologue::none(),
             Epilogue::Overwrite,
-        )
-        .unwrap();
+        );
         let mut emit = vec![f32::NAN; a.len()];
         let mut got = base.clone();
-        gemm_fused_on(
+        gemm_on(
             pool,
+            simd::active_path(),
             layout,
             alpha,
             &a,
@@ -315,8 +361,7 @@ fn check_fused_paths(pool: &Pool, m: usize, k: usize, n: usize, seed: u64) {
                 emit: Some(&mut emit),
             },
             Epilogue::Overwrite,
-        )
-        .unwrap();
+        );
         assert_matches(&format!("{label} prologue"), &got, &want, true);
         for (idx, (g, w)) in emit.iter().zip(a_hat.as_slice()).enumerate() {
             assert_eq!(
@@ -354,8 +399,8 @@ fn fused_paths_are_bitwise_identical_across_thread_counts() {
 
 /// The `LORAFUSION_SIMD` contract: for every (layout x shape x
 /// thread-count) case, every spelling this host can run must be
-/// bitwise-equal to the scalar twin. Uses `supported_paths` +
-/// `gemm_fused_on_path` rather than the env var, which is unreliable
+/// bitwise-equal to the scalar twin. Passes each `supported_paths`
+/// spelling to the slice-level entry rather than setting the env var, which is unreliable
 /// under the parallel test runner; `path_for` picks the env override's
 /// two paths from the ends of that same list, and on an AVX-512 host the
 /// AVX2 kernel in between is only reachable this way.
@@ -392,7 +437,7 @@ fn every_simd_spelling_is_bitwise_identical() {
                 ] {
                     let run = |path| {
                         let mut c = base.clone();
-                        gemm_fused_on_path(
+                        gemm_on(
                             &pool,
                             path,
                             layout,
@@ -402,8 +447,7 @@ fn every_simd_spelling_is_bitwise_identical() {
                             &mut c,
                             Prologue::dropout(spec),
                             epilogue,
-                        )
-                        .unwrap();
+                        );
                         c
                     };
                     let want = run(twin);
@@ -420,31 +464,38 @@ fn every_simd_spelling_is_bitwise_identical() {
 #[test]
 fn thread_sweep_is_bitwise_identical_on_edge_shapes() {
     let serial = Pool::new(1);
+    let pools: Vec<(usize, Pool)> = [2usize, 4, 8].map(|t| (t, Pool::new(t))).into();
     for (i, &(m, k, n)) in edge_shapes().iter().enumerate() {
         let mut rng = Pcg32::seeded(7000 + i as u64);
         let a = Matrix::random_gaussian(m, k, 1.0, &mut rng);
         let b = Matrix::random_gaussian(k, n, 1.0, &mut rng);
         let at = a.transpose();
         let bt = b.transpose();
-
-        let mut nn_ser = Matrix::zeros(m, n);
-        let mut nt_ser = Matrix::zeros(m, n);
-        let mut tn_ser = Matrix::zeros(m, n);
-        gemm_nn_on(&serial, 1.25, &a, &b, &mut nn_ser, Accumulate::Overwrite).unwrap();
-        gemm_nt_on(&serial, 1.25, &a, &bt, &mut nt_ser, Accumulate::Overwrite).unwrap();
-        gemm_tn_on(&serial, 1.25, &at, &b, &mut tn_ser, Accumulate::Overwrite).unwrap();
-
-        for threads in [2usize, 4, 8] {
-            let pool = Pool::new(threads);
-            let mut c = Matrix::zeros(m, n);
-            gemm_nn_on(&pool, 1.25, &a, &b, &mut c, Accumulate::Overwrite).unwrap();
-            assert_matches(&format!("nn {m}x{k}x{n} t={threads}"), &c, &nn_ser, true);
-            let mut c = Matrix::zeros(m, n);
-            gemm_nt_on(&pool, 1.25, &a, &bt, &mut c, Accumulate::Overwrite).unwrap();
-            assert_matches(&format!("nt {m}x{k}x{n} t={threads}"), &c, &nt_ser, true);
-            let mut c = Matrix::zeros(m, n);
-            gemm_tn_on(&pool, 1.25, &at, &b, &mut c, Accumulate::Overwrite).unwrap();
-            assert_matches(&format!("tn {m}x{k}x{n} t={threads}"), &c, &tn_ser, true);
+        for (layout, a, b) in [
+            (Layout::Nn, &a, &b),
+            (Layout::Nt, &a, &bt),
+            (Layout::Tn, &at, &b),
+        ] {
+            let run = |pool: &Pool| {
+                let mut c = Matrix::zeros(m, n);
+                gemm_on(
+                    pool,
+                    simd::active_path(),
+                    layout,
+                    1.25,
+                    a,
+                    b,
+                    &mut c,
+                    Prologue::none(),
+                    Epilogue::Overwrite,
+                );
+                c
+            };
+            let want = run(&serial);
+            for (threads, pool) in &pools {
+                let label = format!("{} {m}x{k}x{n} t={threads}", layout.tag());
+                assert_matches(&label, &run(pool), &want, true);
+            }
         }
     }
 }
